@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-parallel fuzz gen gen-drift bench bench-diff bench-smoke trace-smoke serve-smoke serve-load chaos crash-chaos profile ci clean
+.PHONY: build vet test race race-parallel fuzz gen gen-drift bench bench-diff bench-smoke benchmark-smoke trace-smoke serve-smoke serve-stress serve-load chaos crash-chaos profile ci clean
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,13 @@ bench-smoke:
 	EGACS_BENCH_FILE=$(CURDIR)/BENCH_10.json \
 		$(GO) test -run '^TestValidateBenchFile$$' ./internal/obs
 
+# The host-time benchmark (benchmark/, BENCHMARK.json) is its own module, so
+# `go test ./...` never sees it: run its harness tests, then a tiny-graph
+# two-pass smoke of all four workloads that checks every answer (CI job).
+benchmark-smoke:
+	$(GO) -C benchmark test .
+	$(GO) -C benchmark run . -smoke
+
 # End-to-end trace check: run a kernel with -trace, then validate the written
 # file against the Chrome trace-event schema (CI job).
 trace-smoke:
@@ -102,6 +109,13 @@ trace-smoke:
 # (CI job).
 serve-smoke:
 	$(GO) test -run '^TestServeSmoke$$' -v ./cmd/egacs-serve
+
+# Scheduling-sensitivity lane for the daemon's lifecycle tests (drain,
+# admission, snapshot swaps): repeat them on 1, 2 and 4 Ps so an ordering a
+# test merely hopes for — a goroutine "started" before Drain runs — fails
+# here instead of once a month on a one-CPU runner (CI job).
+serve-stress:
+	$(GO) test -count=50 -cpu 1,2,4 -timeout 30m ./internal/serve ./cmd/egacs-serve
 
 # Chaos-load harness against the in-process server: concurrent tenants with
 # fault injection armed plus a synchronized overload burst; asserts zero
@@ -134,7 +148,7 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof cpu.prof"
 
-ci: vet build gen-drift race race-parallel bench-smoke bench-diff trace-smoke serve-smoke
+ci: vet build gen-drift race race-parallel bench-smoke benchmark-smoke bench-diff trace-smoke serve-smoke serve-stress
 
 clean:
 	$(GO) clean ./...

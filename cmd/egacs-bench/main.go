@@ -31,7 +31,7 @@ func main() {
 		exp        = flag.String("exp", "", "experiment id (table2..table6, table9, fig4..fig10) or 'all'")
 		scale      = flag.String("scale", "small", "input scale: test|small|bench")
 		quick      = flag.Bool("quick", false, "restrict to three benchmarks for a fast pass")
-		backendStr = flag.String("backend", "auto", "kernel backend for simulated runs: interp|compiled|auto (modeled numbers are backend-invariant; this only changes regeneration wall time)")
+		backendStr = flag.String("backend", "auto", "kernel backend for simulated runs: auto|interp (modeled numbers are backend-invariant; this only changes regeneration wall time)")
 		layoutStr  = flag.String("layout", "", "comparison arm of the layout experiment: csr|sell|auto (default sell; paper tables always run calibrated csr)")
 		sellC      = flag.Int("sell-c", 0, "SELL slice height C for the layout experiment (0 = vector width)")
 		sellSigma  = flag.Int("sell-sigma", 0, "SELL degree-sort window σ for the layout experiment (0 = default, negative = whole graph)")

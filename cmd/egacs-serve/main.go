@@ -62,7 +62,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "generator seed")
 		machName  = flag.String("machine", "intel", "machine model queries execute on: intel|amd|phi|gpu")
 		tasks     = flag.Int("tasks", 0, "engine task count per request (0 = machine default)")
-		backend   = flag.String("backend", "auto", "kernel backend for vector attempts: interp|compiled|auto (auto prefers generated Go and degrades to the interpreter; responses report which backend served)")
+		backend   = flag.String("backend", "auto", "kernel backend for vector attempts: auto|interp (auto prefers generated Go and degrades to the interpreter; responses report which backend served)")
 
 		maxInflight = flag.Int("max-inflight", 4, "concurrently executing queries")
 		queueDepth  = flag.Int("queue-depth", 8, "queries allowed to wait for a slot before 503")

@@ -44,7 +44,7 @@ func main() {
 		noSMT      = flag.Bool("nosmt", false, "pin one task per core")
 		taskSys    = flag.String("tasksys", "pthread", "tasking system: pthread|pthread_fs|cilk|openmp|tbb")
 		optStr     = flag.String("opts", "all", "optimizations: none|all|io+np+cc+fibers+fibercc")
-		backendStr = flag.String("backend", "auto", "kernel backend: interp|compiled|auto (auto prefers the generated-Go backend and degrades to the interpreter for uncovered programs; output reports which ran)")
+		backendStr = flag.String("backend", "auto", "kernel backend: auto|interp (auto prefers the generated-Go backend and degrades to the interpreter for uncovered programs; output reports which ran)")
 		layoutStr  = flag.String("layout", "auto", "graph layout policy: csr|sell|auto (auto attaches SELL-C-σ where the machine's gathers are slower than unit-stride loads; order-sensitive float kernels always run csr)")
 		sellC      = flag.Int("sell-c", 0, "SELL slice height C (0 = vector width)")
 		sellSigma  = flag.Int("sell-sigma", 0, "SELL degree-sort window σ (0 = default, negative = whole graph)")

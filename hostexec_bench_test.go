@@ -386,15 +386,15 @@ func BenchmarkHostExec(b *testing.B) {
 			if lt.name == "csr" {
 				// Backend comparison rows: interpreter vs generated Go, both
 				// under the cooperative scheduler on the calibrated CSR
-				// configuration. BackendInterp pins the oracle; BackendCompiled
-				// degrades to the interpreter only for uncovered programs, and
-				// Result.Backend records which one actually ran.
+				// configuration. BackendInterp pins the oracle; BackendAuto runs
+				// the generated code and degrades to the interpreter only for
+				// uncovered programs (Result.Backend records which one ran).
 				for _, be := range []struct {
 					name string
 					sel  core.Backend
 				}{
 					{"interp", core.BackendInterp},
-					{"compiled", core.BackendCompiled},
+					{"compiled", core.BackendAuto},
 				} {
 					bcfg := cfg
 					bcfg.HostExec = core.HostCooperative

@@ -147,11 +147,11 @@ func measureLoads(m *machine.Config, target vec.Target, n int) float64 {
 			return
 		}
 		for i := 0; i < rounds; i++ {
-			var idx vec.Vec
+			var idx, out vec.Vec
 			for l := 0; l < target.Width; l++ {
 				idx[l] = next()
 			}
-			tc.GatherI(a, idx, vec.FullMask(target.Width), vec.Vec{}, false)
+			tc.GatherIP(a, &idx, vec.FullMask(target.Width), false, &out)
 			words += target.Width
 		}
 	})

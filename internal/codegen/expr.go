@@ -315,7 +315,7 @@ func (c *kcompiler) compileI(e ir.Expr) (evalI, error) {
 		}
 		inner := c.inner
 		return func(fr *frame, m vec.Mask) vec.Vec {
-			return fr.tc.GatherI(fr.in.rowPtr, node(fr, m), m, vec.Vec{}, inner)
+			return gatherI(fr.tc, fr.in.rowPtr, node(fr, m), m, inner)
 		}, nil
 	case *ir.RowEnd:
 		node, err := c.compileI(e.Node)
@@ -328,7 +328,7 @@ func (c *kcompiler) compileI(e ir.Expr) (evalI, error) {
 			n := node(fr, m)
 			count(fr, m)
 			n1 := vec.Bin(vec.OpAdd, n, vec.Splat(1), m, fr.W)
-			return fr.tc.GatherI(fr.in.rowPtr, n1, m, vec.Vec{}, inner)
+			return gatherI(fr.tc, fr.in.rowPtr, n1, m, inner)
 		}, nil
 	case *ir.EdgeDst:
 		if v, ok := e.Edge.(*ir.Var); ok && c.sellEdge != "" && v.Name == c.sellEdge {
@@ -342,7 +342,7 @@ func (c *kcompiler) compileI(e ir.Expr) (evalI, error) {
 		}
 		inner := c.inner
 		return func(fr *frame, m vec.Mask) vec.Vec {
-			return fr.tc.GatherI(fr.in.edgeDs, edge(fr, m), m, vec.Vec{}, inner)
+			return gatherI(fr.tc, fr.in.edgeDs, edge(fr, m), m, inner)
 		}, nil
 	case *ir.EdgeWt:
 		if v, ok := e.Edge.(*ir.Var); ok && c.sellEdge != "" && v.Name == c.sellEdge {
@@ -358,7 +358,7 @@ func (c *kcompiler) compileI(e ir.Expr) (evalI, error) {
 			if fr.in.edgeWt == nil {
 				return vec.Splat(1)
 			}
-			return fr.tc.GatherI(fr.in.edgeWt, edge(fr, m), m, vec.Vec{}, inner)
+			return gatherI(fr.tc, fr.in.edgeWt, edge(fr, m), m, inner)
 		}, nil
 	case *ir.ToI:
 		a, err := c.compileF(e.A)
@@ -457,7 +457,7 @@ func (c *kcompiler) compileF(e ir.Expr) (evalF, error) {
 		name := e.Arr
 		inner := c.inner
 		return func(fr *frame, m vec.Mask) vec.FVec {
-			return fr.tc.GatherF(fr.in.arrays[name], idx(fr, m), m, vec.FVec{}, inner)
+			return gatherF(fr.tc, fr.in.arrays[name], idx(fr, m), m, inner)
 		}, nil
 	case *ir.ToF:
 		a, err := c.compileI(e.A)
@@ -486,7 +486,7 @@ func (c *kcompiler) compileLoadI(e *ir.Load) (evalI, error) {
 	name := e.Arr
 	inner := c.inner
 	return func(fr *frame, m vec.Mask) vec.Vec {
-		return fr.tc.GatherI(fr.in.arrays[name], idx(fr, m), m, vec.Vec{}, inner)
+		return gatherI(fr.tc, fr.in.arrays[name], idx(fr, m), m, inner)
 	}, nil
 }
 
@@ -568,4 +568,22 @@ func (c *kcompiler) compileM(e ir.Expr) (evalM, error) {
 		}, nil
 	}
 	return nil, c.errf("expression %T is not a predicate", e)
+}
+
+// gatherI, gatherF and loadVecI adapt the engine's pointer-operand load
+// primitives to the interpreter's by-value evaluators: inactive lanes of the
+// result are zero.
+func gatherI(tc *spmd.TaskCtx, a *spmd.Array, idx vec.Vec, m vec.Mask, inner bool) (out vec.Vec) {
+	tc.GatherIP(a, &idx, m, inner, &out)
+	return out
+}
+
+func gatherF(tc *spmd.TaskCtx, a *spmd.Array, idx vec.Vec, m vec.Mask, inner bool) (out vec.FVec) {
+	tc.GatherFP(a, &idx, m, inner, &out)
+	return out
+}
+
+func loadVecI(tc *spmd.TaskCtx, a *spmd.Array, start int32, m vec.Mask) (out vec.Vec) {
+	tc.LoadVecIP(a, start, m, &out)
+	return out
 }

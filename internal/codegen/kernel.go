@@ -181,10 +181,10 @@ func (kc *kernelCode) sumDegrees(in *Instance, tc *spmd.TaskCtx, fr *frame, star
 		}
 		m := vec.FullMask(int(cnt))
 		items := kc.loadItems(in, tc, base, m)
-		rs := tc.GatherI(in.rowPtr, items, m, vec.Vec{}, false)
+		rs := gatherI(tc, in.rowPtr, items, m, false)
 		tc.Op(vec.ClassALU, false)
 		items1 := vec.Bin(vec.OpAdd, items, vec.Splat(1), m, tc.Width)
-		re := tc.GatherI(in.rowPtr, items1, m, vec.Vec{}, false)
+		re := gatherI(tc, in.rowPtr, items1, m, false)
 		tc.Op(vec.ClassALU, false)
 		deg := vec.Bin(vec.OpSub, re, rs, m, tc.Width)
 		tc.Op(vec.ClassReduce, false)
@@ -203,12 +203,12 @@ func (kc *kernelCode) sumDegrees(in *Instance, tc *spmd.TaskCtx, fr *frame, star
 func (kc *kernelCode) loadItems(in *Instance, tc *spmd.TaskCtx, base int32, m vec.Mask) vec.Vec {
 	if kc.k.Domain == ir.DomainNodes {
 		if in.sellPerm != nil {
-			return tc.LoadVecI(in.sellPerm, base, m, vec.Vec{})
+			return loadVecI(tc, in.sellPerm, base, m)
 		}
 		tc.Op(vec.ClassALU, false)
 		return vec.Bin(vec.OpAdd, vec.Splat(base), vec.Iota(), m, tc.Width)
 	}
-	return tc.LoadVecI(in.wl.In.Items, base, m, vec.Vec{})
+	return loadVecI(tc, in.wl.In.Items, base, m)
 }
 
 func (kc *kernelCode) runChunk(in *Instance, tc *spmd.TaskCtx, fr *frame, base, end int32) {
@@ -362,7 +362,7 @@ func (c *kcompiler) buildSellLoop(edgeSlot int, body exec, useWt, useEid bool) e
 		tc.ScalarOps(2) // slice bounds from SlicePtr
 		for j := int32(0); j < height; j++ {
 			off := start + j*sl.C
-			dst := tc.LoadVecI(fr.in.sellDst, off, full, vec.Vec{})
+			dst := loadVecI(tc, fr.in.sellDst, off, full)
 			tc.Op(vec.ClassCmp, false)
 			act := m & vec.CmpMask(vec.OpGe, dst, vec.Splat(0), full, W)
 			tc.InnerTally(act.PopCount())
@@ -373,13 +373,13 @@ func (c *kcompiler) buildSellLoop(edgeSlot int, body exec, useWt, useEid bool) e
 			fr.cellDst = dst
 			if useWt {
 				if fr.in.sellWt != nil {
-					fr.cellWt = tc.LoadVecI(fr.in.sellWt, off, full, vec.Vec{})
+					fr.cellWt = loadVecI(tc, fr.in.sellWt, off, full)
 				} else {
 					fr.cellWt = vec.Splat(1)
 				}
 			}
 			if useEid {
-				eid := tc.LoadVecI(fr.in.sellEid, off, full, vec.Vec{})
+				eid := loadVecI(tc, fr.in.sellEid, off, full)
 				tc.Op(vec.ClassBlend, true)
 				fr.regI[edgeSlot] = vec.Blend(act, eid, fr.regI[edgeSlot], W)
 			}
@@ -398,10 +398,10 @@ func (c *kcompiler) buildSerialLoop(node evalI, edgeSlot int, body exec) exec {
 		}
 		tc := fr.tc
 		nv := node(fr, m)
-		rs := tc.GatherI(fr.in.rowPtr, nv, m, vec.Vec{}, false)
+		rs := gatherI(tc, fr.in.rowPtr, nv, m, false)
 		tc.Op(vec.ClassALU, false)
 		nv1 := vec.Bin(vec.OpAdd, nv, vec.Splat(1), m, fr.W)
-		re := tc.GatherI(fr.in.rowPtr, nv1, m, vec.Vec{}, false)
+		re := gatherI(tc, fr.in.rowPtr, nv1, m, false)
 		e := rs
 		for {
 			tc.InnerOp(vec.ClassCmp, true, m.PopCount())
@@ -430,10 +430,10 @@ func (c *kcompiler) buildNPLoop(node evalI, edgeSlot int, body exec) exec {
 		tc := fr.tc
 		W := fr.W
 		nv := node(fr, m)
-		rs := tc.GatherI(fr.in.rowPtr, nv, m, vec.Vec{}, false)
+		rs := gatherI(tc, fr.in.rowPtr, nv, m, false)
 		tc.Op(vec.ClassALU, false)
 		nv1 := vec.Bin(vec.OpAdd, nv, vec.Splat(1), m, W)
-		re := tc.GatherI(fr.in.rowPtr, nv1, m, vec.Vec{}, false)
+		re := gatherI(tc, fr.in.rowPtr, nv1, m, false)
 		tc.Op(vec.ClassALU, false)
 		deg := vec.Bin(vec.OpSub, re, rs, m, W)
 

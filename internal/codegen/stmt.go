@@ -122,7 +122,8 @@ func (c *kcompiler) compileStmt(s ir.Stmt) (exec, error) {
 				if m.None() {
 					return
 				}
-				fr.tc.ScatterF(fr.in.arrays[name], idx(fr, m), val(fr, m), m)
+				iv, vv := idx(fr, m), val(fr, m)
+				fr.tc.ScatterFP(fr.in.arrays[name], &iv, &vv, m)
 			}, nil
 		}
 		val, err := c.compileI(s.Val)
@@ -133,7 +134,8 @@ func (c *kcompiler) compileStmt(s ir.Stmt) (exec, error) {
 			if m.None() {
 				return
 			}
-			fr.tc.ScatterI(fr.in.arrays[name], idx(fr, m), val(fr, m), m)
+			iv, vv := idx(fr, m), val(fr, m)
+			fr.tc.ScatterIP(fr.in.arrays[name], &iv, &vv, m)
 		}, nil
 
 	case *ir.If:
@@ -228,7 +230,8 @@ func (c *kcompiler) compileStmt(s ir.Stmt) (exec, error) {
 				}
 				return
 			}
-			won := fr.tc.AtomicMinLanes(fr.in.arrays[name], idx(fr, m), val(fr, m), m)
+			iv, vv := idx(fr, m), val(fr, m)
+			won := fr.tc.AtomicMinLanesP(fr.in.arrays[name], &iv, &vv, m)
 			if succSlot >= 0 {
 				storeRegM(fr, succSlot, won, m)
 			}
@@ -259,7 +262,8 @@ func (c *kcompiler) compileStmt(s ir.Stmt) (exec, error) {
 				}
 				return
 			}
-			won := fr.tc.AtomicCASLanes(fr.in.arrays[name], idx(fr, m), oldv(fr, m), newv(fr, m), m)
+			iv, ov, nv := idx(fr, m), oldv(fr, m), newv(fr, m)
+			won := fr.tc.AtomicCASLanesP(fr.in.arrays[name], &iv, &ov, &nv, m)
 			if succSlot >= 0 {
 				storeRegM(fr, succSlot, won, m)
 			}
@@ -280,7 +284,8 @@ func (c *kcompiler) compileStmt(s ir.Stmt) (exec, error) {
 				if m.None() {
 					return
 				}
-				fr.tc.AtomicAddFLanes(fr.in.arrays[name], idx(fr, m), val(fr, m), m)
+				iv, vv := idx(fr, m), val(fr, m)
+				fr.tc.AtomicAddFLanesP(fr.in.arrays[name], &iv, &vv, m)
 			}, nil
 		}
 		val, err := c.compileI(s.Val)
@@ -291,7 +296,8 @@ func (c *kcompiler) compileStmt(s ir.Stmt) (exec, error) {
 			if m.None() {
 				return
 			}
-			fr.tc.AtomicAddLanes(fr.in.arrays[name], idx(fr, m), val(fr, m), m, false)
+			iv, vv := idx(fr, m), val(fr, m)
+			fr.tc.AtomicAddLanesP(fr.in.arrays[name], &iv, &vv, m, false)
 		}, nil
 
 	case *ir.AccumAdd:

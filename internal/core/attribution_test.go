@@ -39,7 +39,7 @@ func TestAttributionSumsExactly(t *testing.T) {
 		be   Backend
 	}{
 		{"interp", BackendInterp},
-		{"compiled", BackendCompiled},
+		{"compiled", BackendAuto},
 	}
 	for _, b := range kernels.All() {
 		for _, raw := range testGraphs() {

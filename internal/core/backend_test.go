@@ -19,8 +19,8 @@ import (
 )
 
 // runBothBackends executes the same configuration once pinned to the
-// interpreter and once pinned to the generated backend, asserting the pin
-// took effect, and returns both results.
+// interpreter and once on the generated backend (BackendAuto on a covered
+// configuration), asserting each ran what it should, and returns both results.
 func runBothBackends(t *testing.T, b *kernels.Benchmark, g *graph.CSR, cfg Config) (interp, comp *Result) {
 	t.Helper()
 	ci := cfg
@@ -30,7 +30,7 @@ func runBothBackends(t *testing.T, b *kernels.Benchmark, g *graph.CSR, cfg Confi
 		t.Fatalf("%s interp: %v", b.Name, err)
 	}
 	cc := cfg
-	cc.Backend = BackendCompiled
+	cc.Backend = BackendAuto
 	comp, err = Run(b, g, cc)
 	if err != nil {
 		t.Fatalf("%s compiled: %v", b.Name, err)
@@ -174,7 +174,7 @@ func TestCompiledMatchesInterpUnderFaults(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/rate#%d/seed%d", name, ri, seed)
 				interp, ierr := Run(b, g, cfg(BackendInterp))
-				comp, cerr := Run(b, g, cfg(BackendCompiled))
+				comp, cerr := Run(b, g, cfg(BackendAuto))
 				if (ierr == nil) != (cerr == nil) {
 					t.Errorf("%s: error divergence: interp %v, compiled %v", label, ierr, cerr)
 					continue
@@ -206,7 +206,7 @@ func TestCompiledMatchesInterpUnderFaults(t *testing.T) {
 	}
 }
 
-// TestCompiledBackendFallback pins the degradation contract: a BackendCompiled
+// TestCompiledBackendFallback pins the degradation contract: a BackendAuto
 // request the generated code cannot serve must not fail the run — core falls
 // back to the interpreter, reports it in Result.Backend, and the outputs still
 // verify. Covered gaps: a vector width the emitter does not target, and an
@@ -219,7 +219,7 @@ func TestCompiledBackendFallback(t *testing.T) {
 	}
 	g := PrepareGraph(b, graph.Road(16, 16, 8, 3))
 
-	res, err := Run(b, g, Config{Backend: BackendCompiled, Target: vec.TargetAVX2x4})
+	res, err := Run(b, g, Config{Backend: BackendAuto, Target: vec.TargetAVX2x4})
 	if err != nil {
 		t.Fatalf("width fallback: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestCompiledBackendFallback(t *testing.T) {
 	}
 
 	noNP := opt.Options{IO: true, CC: true}
-	res, err = Run(b, g, Config{Backend: BackendCompiled, Opts: &noNP})
+	res, err = Run(b, g, Config{Backend: BackendAuto, Opts: &noNP})
 	if err != nil {
 		t.Fatalf("opt fallback: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestBackendKnobParses(t *testing.T) {
 	for _, c := range []struct {
 		in   string
 		want Backend
-	}{{"", BackendAuto}, {"auto", BackendAuto}, {"interp", BackendInterp}, {"compiled", BackendCompiled}} {
+	}{{"", BackendAuto}, {"auto", BackendAuto}, {"interp", BackendInterp}} {
 		got, err := ParseBackend(c.in)
 		if err != nil || got != c.want {
 			t.Errorf("ParseBackend(%q) = %v, %v", c.in, got, err)
@@ -280,8 +280,11 @@ func TestBackendKnobParses(t *testing.T) {
 			t.Errorf("Backend(%v).String() = %q, want %q", got, got.String(), c.in)
 		}
 	}
-	if _, err := ParseBackend("jit"); err == nil {
-		t.Error("ParseBackend accepted garbage")
+	// "compiled" names what ran (Result.Backend); it is not a knob value.
+	for _, bad := range []string{"jit", "compiled"} {
+		if _, err := ParseBackend(bad); err == nil {
+			t.Errorf("ParseBackend accepted %q", bad)
+		}
 	}
 }
 
@@ -312,7 +315,7 @@ func FuzzBackendDifferential(f *testing.F) {
 		ci.Backend = BackendInterp
 		interp, ierr := Run(b, g, ci)
 		cc := cfg
-		cc.Backend = BackendCompiled
+		cc.Backend = BackendAuto
 		comp, cerr := Run(b, g, cc)
 		if (ierr == nil) != (cerr == nil) {
 			t.Fatalf("error divergence: interp %v, compiled %v", ierr, cerr)

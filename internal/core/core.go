@@ -116,28 +116,21 @@ const (
 	// covers the program (post-optimization fingerprint, every kernel, the
 	// target width) and silently falls back to the interpreter otherwise —
 	// custom programs, non-generated widths and non-default optimization
-	// configurations keep working unchanged.
+	// configurations keep working unchanged (the typed
+	// compiled.ErrBackendUnsupported never escapes Run; Result.Backend
+	// reports which backend ran).
 	BackendAuto Backend = iota
 	// BackendInterp pins the closure-tree interpreter (the differential
 	// oracle).
 	BackendInterp
-	// BackendCompiled requests the generated-Go backend; when the program is
-	// not covered, core degrades to the interpreter (the typed
-	// compiled.ErrBackendUnsupported never escapes Run) and Result.Backend
-	// reports "interp".
-	BackendCompiled
 )
 
 // String returns the CLI spelling of the backend knob.
 func (b Backend) String() string {
-	switch b {
-	case BackendInterp:
+	if b == BackendInterp {
 		return "interp"
-	case BackendCompiled:
-		return "compiled"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
 // ParseBackend parses a -backend flag value.
@@ -147,10 +140,8 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendAuto, nil
 	case "interp":
 		return BackendInterp, nil
-	case "compiled":
-		return BackendCompiled, nil
 	}
-	return BackendAuto, fmt.Errorf("core: unknown backend %q (want interp, compiled or auto)", s)
+	return BackendAuto, fmt.Errorf("core: unknown backend %q (want auto or interp)", s)
 }
 
 // resolveExec maps the config knob to an engine mode. Programs marked
@@ -296,7 +287,7 @@ type Result struct {
 	Recovery codegen.RecoveryStats
 	// Backend is the kernel backend the run actually used: "compiled" only
 	// when the generated-Go backend covered the program, "interp" otherwise
-	// (including every BackendCompiled request that degraded).
+	// (including every BackendAuto run that degraded).
 	Backend string
 	// Layout is the layout the run actually used: "sell" only when a
 	// SELL-C-σ layout was attached (policy enabled, module has a dense
@@ -443,10 +434,10 @@ func run(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*Result, error) {
 	}
 	backend := "interp"
 	if cfg.Backend != BackendInterp {
-		// Auto and compiled both try the generated backend; an uncovered
-		// combination (custom program, non-generated width, non-default opt
-		// configuration) degrades to the interpreter rather than failing the
-		// run — the two backends are bit-identical, only wall-clock differs.
+		// An uncovered combination (custom program, non-generated width,
+		// non-default opt configuration) degrades to the interpreter rather
+		// than failing the run — the two backends are bit-identical, only
+		// wall-clock differs.
 		switch err := inst.EnableCompiled(); {
 		case err == nil:
 			backend = "compiled"

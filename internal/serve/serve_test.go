@@ -266,14 +266,12 @@ func TestServeBackpressure(t *testing.T) {
 func TestServeDrain(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxInflight: 2})
 
-	started := make(chan struct{})
 	finished := make(chan error, 1)
 	go func() {
-		close(started)
 		_, err := s.Execute(context.Background(), &Query{Kind: "pr", Node: -1, TopK: 5, Tenant: "slow"})
 		finished <- err
 	}()
-	<-started
+	waitAdmitted(t, s, finished)
 
 	drainDone := make(chan error, 1)
 	go func() {
@@ -301,16 +299,14 @@ func TestServeDrainHardStop(t *testing.T) {
 	s, _ := newTestServer(t, Options{MaxInflight: 2, RequestTimeout: time.Hour})
 
 	blocker := newBlockingCtx()
-	started := make(chan struct{})
 	finished := make(chan error, 1)
 	go func() {
-		close(started)
 		// A query whose caller never gives up: only the drain hard-stop can
 		// end it.
 		_, err := s.Execute(blocker, &Query{Kind: "pr", Node: -1, TopK: 5, Tenant: "stuck"})
 		finished <- err
 	}()
-	<-started
+	waitAdmitted(t, s, finished)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
@@ -334,6 +330,21 @@ func TestServeDrainHardStop(t *testing.T) {
 	if statusFor(err) == http.StatusOK {
 		t.Fatalf("drain error unmapped: %v", err)
 	}
+}
+
+// waitAdmitted blocks until the query a test launched on another goroutine
+// (reporting on the buffered finished channel) is in flight as far as the
+// drain lifecycle is concerned — beginRequest counted it, so a Drain that
+// starts now must wait for it rather than refuse it with ErrDraining — or has
+// already finished. Signalling from the goroutine before it calls Execute
+// says neither: on a one-CPU runner Drain regularly won that race.
+func waitAdmitted(t *testing.T, s *Server, finished <-chan error) {
+	t.Helper()
+	waitFor(t, func() bool {
+		s.lifeMu.Lock()
+		defer s.lifeMu.Unlock()
+		return s.inflightN > 0 || len(finished) > 0
+	})
 }
 
 // blockingCtx never cancels on its own (unlike Background it has a real Done

@@ -45,16 +45,6 @@ func TestDeferredHotPathAllocationFree(t *testing.T) {
 	val := vec.Splat(7)
 
 	work := func() {
-		v := tc.GatherI(a, idx, m, vec.Vec{}, false)
-		tc.ScatterI(a, idx, v, m)
-		fv := tc.GatherF(f, idx, m, vec.FVec{}, false)
-		tc.ScatterF(f, idx, fv, m)
-		tc.AtomicAddLanes(a, idx, val, m, false)
-		b := tc.Batch(sink)
-		off := b.StageMasked(val, m, tc.Width)
-		tc.NoteStaged(b, off, int32(m.PopCount()))
-		// Pointer-variant primitives (the generated backend's hot path) must
-		// hold the same zero-allocation bar as their by-value twins.
 		var pv vec.Vec
 		var pf vec.FVec
 		tc.GatherIP(a, &idx, m, false, &pv)
@@ -66,6 +56,9 @@ func TestDeferredHotPathAllocationFree(t *testing.T) {
 		tc.AtomicAddFLanesP(f, &idx, &pf, m)
 		tc.AtomicMinLanesP(a, &idx, &val, m)
 		tc.AtomicCASLanesP(a, &idx, &val, &val, m)
+		b := tc.Batch(sink)
+		off := b.StageMasked(val, m, tc.Width)
+		tc.NoteStaged(b, off, int32(m.PopCount()))
 	}
 	// Grow every buffer past what the measured runs will need, then reset to
 	// the (capacity-preserving) segment-start state.
@@ -75,6 +68,63 @@ func TestDeferredHotPathAllocationFree(t *testing.T) {
 	tc.def.reset()
 	if allocs := testing.AllocsPerRun(200, work); allocs != 0 {
 		t.Errorf("deferred hot path allocates %.1f objects per op sequence, want 0", allocs)
+	}
+}
+
+// TestStageFreeHotPathAllocationFree holds the stage-free cooperative segment
+// (MarkStageFree: probe now, record a cost byte per access) to the same
+// zero-allocation bar, and pins what the funnel records there: one cost byte
+// per load lane and none for AccPlain accesses (scatter and atomics) — their
+// stall row is zero, so a byte would fold to nothing at the merge boundary
+// while growing the per-segment costs buffer by one byte per stored lane.
+func TestStageFreeHotPathAllocationFree(t *testing.T) {
+	e := newModeEngine(1, ExecDeferred)
+	a := e.AllocI("a", 64)
+	f := e.AllocF("f", 64)
+	tc := e.newTask(0, 1, ExecDeferred, false)
+	m := vec.FullMask(16)
+	idx := vec.Iota()
+	val := vec.Splat(7)
+	var pv vec.Vec
+	var pf vec.FVec
+
+	loads := func() {
+		tc.GatherIP(a, &idx, m, false, &pv)
+		tc.GatherFP(f, &idx, m, false, &pf)
+		tc.LoadVecIP(a, 0, m, &pv)
+	}
+	stores := func() {
+		tc.ScatterIP(a, &idx, &pv, m)
+		tc.ScatterFP(f, &idx, &pf, m)
+		tc.AtomicAddLanesP(a, &idx, &val, m, false)
+		tc.AtomicAddFLanesP(f, &idx, &pf, m)
+		tc.AtomicMinLanesP(a, &idx, &val, m)
+		tc.AtomicCASLanesP(a, &idx, &val, &val, m)
+	}
+	tc.MarkStageFree()
+	stores()
+	if n := len(tc.def.costs); n != 0 {
+		t.Errorf("AccPlain accesses recorded %d cost bytes, want 0", n)
+	}
+	if n := len(tc.def.ops); n == 0 {
+		t.Error("stores logged no ops")
+	}
+	loads()
+	if n, want := len(tc.def.costs), 3*16; n != want {
+		t.Errorf("loads recorded %d cost bytes, want %d (one per lane)", n, want)
+	}
+	if len(tc.def.acc) != 0 {
+		t.Error("stage-free segment recorded trace words")
+	}
+
+	work := func() { loads(); stores() }
+	for i := 0; i < 300; i++ {
+		work()
+	}
+	tc.def.reset()
+	tc.MarkStageFree()
+	if allocs := testing.AllocsPerRun(200, work); allocs != 0 {
+		t.Errorf("stage-free hot path allocates %.1f objects per op sequence, want 0", allocs)
 	}
 }
 
@@ -103,8 +153,8 @@ func TestTracingAddsNoAllocations(t *testing.T) {
 		m := vec.FullMask(16)
 		body := func(tc *TaskCtx) {
 			idx := vec.Iota()
-			v := tc.GatherI(a, idx, m, vec.Vec{}, false)
-			tc.ScatterI(a, idx, v, m)
+			v := gatherI(tc, a, idx, m, false)
+			scatterI(tc, a, idx, v, m)
 			tc.OpN(vec.ClassALU, false, 8)
 		}
 		round := func() {
@@ -155,11 +205,11 @@ func TestAttributionAddsNoAllocations(t *testing.T) {
 				tc.MarkPhase("gather")
 			}
 			idx := vec.Iota()
-			v := tc.GatherI(a, idx, m, vec.Vec{}, false)
+			v := gatherI(tc, a, idx, m, false)
 			if marked {
 				tc.MarkPhase("scatter")
 			}
-			tc.ScatterI(a, idx, v, m)
+			scatterI(tc, a, idx, v, m)
 			tc.OpN(vec.ClassALU, false, 8)
 		}
 		round := func() {
@@ -212,17 +262,17 @@ func TestPoolReuseAcrossLaunches(t *testing.T) {
 				// Read the task's stripe of both halves into a shared checksum.
 				for _, start := range [2]int32{base, 64 + base} {
 					idx := vec.Bin(vec.OpAdd, vec.Iota(), vec.Splat(start), m, 16)
-					v := tc.GatherI(a, idx, m, vec.Vec{}, false)
+					v := gatherI(tc, a, idx, m, false)
 					tc.Op(vec.ClassReduce, false)
 					tc.AtomicAddScalar(sum, int32(tc.Index), vec.ReduceAdd(v, m, 16), false)
 				}
 				tc.Barrier()
 				// Write this launch's half, each task a disjoint 16-wide stripe.
 				widx := vec.Bin(vec.OpAdd, vec.Iota(), vec.Splat(half+base), m, 16)
-				v := tc.GatherI(a, widx, m, vec.Vec{}, false)
+				v := gatherI(tc, a, widx, m, false)
 				v = vec.Bin(vec.OpAdd, v, vec.Splat(int32(launch+1)), m, tc.Width)
 				tc.Op(vec.ClassALU, false)
-				tc.ScatterI(a, widx, v, m)
+				scatterI(tc, a, widx, v, m)
 			})
 			if err != nil {
 				t.Fatalf("mode %d launch %d: %v", mode, launch, err)

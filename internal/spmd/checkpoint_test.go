@@ -16,13 +16,13 @@ func chunk(t *testing.T, e *Engine, a, sum *Array, f *Array, step int32) {
 	err := e.Launch(2, func(tc *TaskCtx) {
 		base := int32(tc.Index * 16)
 		idx := vec.Bin(vec.OpAdd, vec.Iota(), vec.Splat(base), m, 16)
-		v := tc.GatherI(a, idx, m, vec.Vec{}, false)
+		v := gatherI(tc, a, idx, m, false)
 		v = vec.Bin(vec.OpAdd, v, vec.Splat(step), m, tc.Width)
 		tc.Op(vec.ClassALU, false)
-		tc.ScatterI(a, idx, v, m)
-		fv := tc.GatherF(f, idx, m, vec.FVec{}, false)
+		scatterI(tc, a, idx, v, m)
+		fv := gatherF(tc, f, idx, m, false)
 		tc.Op(vec.ClassBlend, false)
-		tc.ScatterF(f, idx, fv, m)
+		scatterF(tc, f, idx, fv, m)
 		tc.AtomicAddScalar(sum, int32(tc.Index), step, false)
 	})
 	if err != nil {

@@ -381,21 +381,6 @@ func (d *deferredCtx) addF(a *Array, idx int32, delta float32) {
 	d.ops = append(d.ops, memOp{aid: a.id, idx: idx, op: opAddF, fv: delta})
 }
 
-// minI lowers the task-local view and logs a min to merge against the live
-// value. Call only when v improves on loadI's result.
-func (d *deferredCtx) minI(a *Array, idx, v int32) {
-	sh := d.shadowFor(a)
-	sh.sv[idx] = uint64(sh.epoch)<<32 | uint64(uint32(v))
-	d.ops = append(d.ops, memOp{aid: a.id, idx: idx, op: opMinI, iv: v})
-}
-
-// casI records a compare-and-swap that succeeded under the task's view.
-func (d *deferredCtx) casI(a *Array, idx, old, v int32) {
-	sh := d.shadowFor(a)
-	sh.sv[idx] = uint64(sh.epoch)<<32 | uint64(uint32(v))
-	d.ops = append(d.ops, memOp{aid: a.id, idx: idx, op: opCASI, iv: v, old: old})
-}
-
 // applyOp commits one logged write, resolving the array through the engine's
 // dense registry. Values were counted at execution time; application is
 // functional only.

@@ -30,11 +30,11 @@ func runDisjoint(t *testing.T, mode Exec) (float64, Stats, []int32) {
 		idx := vec.Bin(vec.OpAdd, vec.Iota(), vec.Splat(base), vec.FullMask(16), 16)
 		m := vec.FullMask(16)
 		for round := 0; round < 4; round++ {
-			v := tc.GatherI(a, idx, m, vec.Vec{}, true)
+			v := gatherI(tc, a, idx, m, true)
 			v = vec.Bin(vec.OpAdd, v, vec.Splat(int32(round+1)), m, tc.Width)
 			tc.Op(vec.ClassALU, false)
-			tc.ScatterI(a, idx, v, m)
-			tc.AtomicAddLanes(deg, idx, vec.Splat(1), m, false)
+			scatterI(tc, a, idx, v, m)
+			atomicAddLanes(tc, deg, idx, vec.Splat(1), m, false)
 			tc.ScalarStoreI(deg, base, tc.ScalarLoadI(deg, base)+1)
 			tc.Barrier()
 		}
@@ -81,15 +81,15 @@ func runContended(t *testing.T, mode Exec) (float64, Stats, []int32) {
 		idx := vec.Iota() // every task hits the same 16 locations
 		for round := 0; round < 3; round++ {
 			val := vec.Splat(int32(100 - 10*tc.Index - round))
-			tc.AtomicMinLanes(dist, idx, val, m)
-			tc.AtomicCASLanes(owner, idx, vec.Splat(-1), vec.Splat(int32(tc.Index)), m)
+			atomicMinLanes(tc, dist, idx, val, m)
+			atomicCASLanes(tc, owner, idx, vec.Splat(-1), vec.Splat(int32(tc.Index)), m)
 			old := tc.AtomicAddScalar(ctr, 0, 1, true)
 			tc.ScalarStoreI(slots, int32(tc.Index), old)
 			tc.Barrier()
 			// Post-barrier: committed state must be merged and identical
 			// across tasks; fold it back in so divergence becomes visible.
-			v := tc.GatherI(dist, idx, m, vec.Vec{}, true)
-			tc.ScatterI(dist, idx, vec.Bin(vec.OpAdd, v, vec.Splat(1), m, tc.Width), m)
+			v := gatherI(tc, dist, idx, m, true)
+			scatterI(tc, dist, idx, vec.Bin(vec.OpAdd, v, vec.Splat(1), m, tc.Width), m)
 			tc.Barrier()
 		}
 	})
@@ -159,9 +159,9 @@ func TestLaunchNoBarrierMatchesLaunch(t *testing.T) {
 		return func(tc *TaskCtx) {
 			base := int32(tc.Index * 16)
 			idx := vec.Bin(vec.OpAdd, vec.Iota(), vec.Splat(base), vec.FullMask(16), 16)
-			v := tc.GatherI(a, idx, vec.FullMask(16), vec.Vec{}, true)
+			v := gatherI(tc, a, idx, vec.FullMask(16), true)
 			v = vec.Bin(vec.OpAdd, v, vec.Splat(7), vec.FullMask(16), tc.Width)
-			tc.ScatterI(a, idx, v, vec.FullMask(16))
+			scatterI(tc, a, idx, v, vec.FullMask(16))
 		}
 	}
 	for _, mode := range []Exec{ExecLive, ExecDeferred, ExecParallel} {
@@ -238,7 +238,7 @@ func TestDeferredFloatDeterminism(t *testing.T) {
 		if err := e.Launch(8, func(tc *TaskCtx) {
 			for i := 0; i < 50; i++ {
 				tc.AtomicAddFScalar(acc, 0, 0.1*float32(tc.Index+1))
-				tc.AtomicAddFLanes(acc,
+				atomicAddFLanes(tc, acc,
 					vec.Bin(vec.OpAnd, vec.Iota(), vec.Splat(3), vec.FullMask(16), 16),
 					vec.SplatF(0.01*float32(i+1)), vec.FullMask(16))
 			}

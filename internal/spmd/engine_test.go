@@ -90,10 +90,10 @@ func TestDeterministicTimeAndStats(t *testing.T) {
 			idx := vec.Iota()
 			m := vec.FullMask(tc.Width)
 			for it := 0; it < 10; it++ {
-				v := tc.GatherI(a, idx, m, vec.Vec{}, true)
+				v := gatherI(tc, a, idx, m, true)
 				v = vec.Bin(vec.OpAdd, v, vec.Splat(1), m, tc.Width)
 				tc.Op(vec.ClassALU, false)
-				tc.ScatterI(a, idx, v, m)
+				scatterI(tc, a, idx, v, m)
 				tc.Barrier()
 			}
 		})
@@ -222,7 +222,7 @@ func TestUncontendedAtomicsScale(t *testing.T) {
 		base := int32(tc.Index * 16)
 		idx := vec.Bin(vec.OpAdd, vec.Iota(), vec.Splat(base), vec.FullMask(16), 16)
 		for i := 0; i < iters; i++ {
-			tc.AtomicAddLanes(a, idx, vec.Splat(1), vec.FullMask(16), false)
+			atomicAddLanes(tc, a, idx, vec.Splat(1), vec.FullMask(16), false)
 		}
 	})
 	total := float64(8*iters*16) * e.Machine.AtomicCycles
@@ -285,7 +285,7 @@ func TestGatherOOBFailsLaunch(t *testing.T) {
 	e := newTestEngine(1)
 	a := e.AllocI("lvl", 8)
 	err := e.Launch(1, func(tc *TaskCtx) {
-		tc.GatherI(a, vec.Splat(42), vec.FullMask(4), vec.Vec{}, false)
+		gatherI(tc, a, vec.Splat(42), vec.FullMask(4), false)
 	})
 	var be *fault.BoundsError
 	if !errors.As(err, &be) {
@@ -303,7 +303,7 @@ func TestInjectedGatherFault(t *testing.T) {
 		a := e.AllocI("dist", 64)
 		err := e.Launch(2, func(tc *TaskCtx) {
 			for round := 0; round < 40; round++ {
-				tc.GatherI(a, vec.Iota(), vec.FullMask(16), vec.Vec{}, true)
+				gatherI(tc, a, vec.Iota(), vec.FullMask(16), true)
 			}
 		})
 		return err, e.Inject.TraceString()

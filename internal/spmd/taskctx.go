@@ -14,10 +14,13 @@ import (
 // exposes the ISPC builtins (taskIndex/taskCount/programCount), cost-counted
 // memory and atomic primitives, and the in-kernel barrier.
 //
-// The compiled kernels perform all vector computation through internal/vec
-// directly and report instruction costs through Op/InnerOp; memory and
-// atomics go through the methods here so that cache, paging and contention
-// modeling see every access.
+// Kernels (interpreted or generated) perform all vector computation through
+// internal/vec directly and report instruction costs through Op/InnerOp;
+// memory and atomics go through the methods here so that cache, paging and
+// contention modeling see every access. Scalar and packed-store primitives
+// live in this file and charge through noteAccess; the vector gather/
+// scatter/load/atomic primitives live in taskctx_ptr.go and charge through
+// the chargeLanes funnel.
 //
 // In live mode (ExecLive) every primitive mutates shared engine state
 // immediately. In the deferred modes the task accounts into a private stats
@@ -82,22 +85,24 @@ func (tc *TaskCtx) failBounds(err error, a *Array) {
 	tc.Fail(err)
 }
 
-// corruptIdx routes active-lane indices through the engine's fault injector
-// (nil-safe no-op). kind is "gather" or "scatter".
-func (tc *TaskCtx) corruptIdx(kind string, a *Array, idx vec.Vec, m vec.Mask) vec.Vec {
+// corruptIdx routes active-lane indices through the engine's fault injector,
+// returning idx itself when none is attached and a corrupted copy otherwise
+// (the caller's vector is never modified). kind is "gather" or "scatter".
+func (tc *TaskCtx) corruptIdx(kind string, a *Array, idx *vec.Vec, m vec.Mask) *vec.Vec {
 	in := tc.E.Inject
 	if in == nil {
 		return idx
 	}
+	out := *idx
 	n := a.Len()
 	for i := 0; i < tc.Width; i++ {
 		if m.Bit(i) {
-			if bad, ok := in.CorruptIndex(kind, a.Name, i, idx[i], n); ok {
-				idx[i] = bad
+			if bad, ok := in.CorruptIndex(kind, a.Name, i, out[i], n); ok {
+				out[i] = bad
 			}
 		}
 	}
-	return idx
+	return &out
 }
 
 // checkScalar validates one uniform element index, unwinding the task with a
@@ -108,8 +113,8 @@ func (tc *TaskCtx) checkScalar(op string, a *Array, idx int32) {
 	}
 }
 
-// checkLane validates one lane's element index inside a hand-rolled atomic
-// loop, unwinding the task on violation.
+// checkLane validates one lane's element index, unwinding the task with a
+// typed bounds error naming the lane on violation.
 func (tc *TaskCtx) checkLane(op string, a *Array, lane int, idx int32) {
 	if idx < 0 || int(idx) >= a.Len() {
 		tc.Fail(&fault.BoundsError{Op: op, Array: a.Name, Lane: lane, Index: idx, Len: a.Len()})
@@ -268,144 +273,6 @@ func (tc *TaskCtx) gatherKind() machine.AccessKind {
 	return machine.AccLoad // software gather: per-lane scalar loads
 }
 
-// maskedAccess is the shared bounds-check + cost-accounting loop behind
-// every gather/scatter flavor: each active lane of idx is validated against
-// a and its access recorded with the given kind. Written once so the
-// per-lane hot path stays identical across GatherI/GatherF/ScatterI/
-// ScatterF.
-func (tc *TaskCtx) maskedAccess(op string, a *Array, idx vec.Vec, m vec.Mask, kind machine.AccessKind) {
-	for i := 0; i < tc.Width; i++ {
-		if m.Bit(i) {
-			tc.checkLane(op, a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), kind)
-		}
-	}
-}
-
-// GatherI gathers a.I[idx[i]] for active lanes with full cost accounting.
-// inner marks inner-loop operations for utilization measurement.
-func (tc *TaskCtx) GatherI(a *Array, idx vec.Vec, m vec.Mask, old vec.Vec, inner bool) vec.Vec {
-	idx = tc.corruptIdx("gather", a, idx, m)
-	if inner {
-		tc.InnerOp(vec.ClassGather, true, m.PopCount())
-	} else {
-		tc.Op(vec.ClassGather, true)
-	}
-	tc.maskedAccess("gather", a, idx, m, tc.gatherKind())
-	if d := tc.def; d != nil {
-		out := old
-		for i := 0; i < tc.Width; i++ {
-			if m.Bit(i) {
-				out[i] = d.loadI(a, idx[i])
-			}
-		}
-		return out
-	}
-	return vec.Gather(a.I, idx, m, tc.Width, old)
-}
-
-// GatherF is GatherI for float arrays.
-func (tc *TaskCtx) GatherF(a *Array, idx vec.Vec, m vec.Mask, old vec.FVec, inner bool) vec.FVec {
-	idx = tc.corruptIdx("gather", a, idx, m)
-	if inner {
-		tc.InnerOp(vec.ClassGather, true, m.PopCount())
-	} else {
-		tc.Op(vec.ClassGather, true)
-	}
-	tc.maskedAccess("gather", a, idx, m, tc.gatherKind())
-	if d := tc.def; d != nil {
-		out := old
-		for i := 0; i < tc.Width; i++ {
-			if m.Bit(i) {
-				out[i] = d.loadF(a, idx[i])
-			}
-		}
-		return out
-	}
-	return vec.GatherF(a.F, idx, m, tc.Width, old)
-}
-
-// ScatterI scatters val to a.I[idx[i]] for active lanes. Stores retire
-// through the write buffer; no exposed stall is charged (AccPlain), matching
-// the scalar-store treatment.
-func (tc *TaskCtx) ScatterI(a *Array, idx, val vec.Vec, m vec.Mask) {
-	idx = tc.corruptIdx("scatter", a, idx, m)
-	tc.Op(vec.ClassScatter, true)
-	tc.maskedAccess("scatter", a, idx, m, machine.AccPlain)
-	if d := tc.def; d != nil {
-		for i := 0; i < tc.Width; i++ {
-			if m.Bit(i) {
-				d.storeI(a, idx[i], val[i])
-			}
-		}
-		return
-	}
-	vec.Scatter(a.I, idx, val, m, tc.Width)
-}
-
-// ScatterF is ScatterI for float arrays.
-func (tc *TaskCtx) ScatterF(a *Array, idx vec.Vec, val vec.FVec, m vec.Mask) {
-	idx = tc.corruptIdx("scatter", a, idx, m)
-	tc.Op(vec.ClassScatter, true)
-	tc.maskedAccess("scatter", a, idx, m, machine.AccPlain)
-	if d := tc.def; d != nil {
-		for i := 0; i < tc.Width; i++ {
-			if m.Bit(i) {
-				d.storeF(a, idx[i], val[i])
-			}
-		}
-		return
-	}
-	vec.ScatterF(a.F, idx, val, m, tc.Width)
-}
-
-// LoadVecI performs a unit-stride vector load from a.I[start:].
-func (tc *TaskCtx) LoadVecI(a *Array, start int32, m vec.Mask, old vec.Vec) vec.Vec {
-	tc.Op(vec.ClassVLoad, m != vec.FullMask(tc.Width))
-	for i := 0; i < tc.Width; i++ {
-		if m.Bit(i) {
-			tc.checkLane("vload", a, i, start+int32(i))
-			// The leading lane pays the full load latency; continuation
-			// lanes stall only when their line is not already in L1.
-			kind := machine.AccStream
-			if i == 0 {
-				kind = machine.AccLoad
-			}
-			tc.noteAccess(a.Addr(start+int32(i)), kind)
-		}
-	}
-	if d := tc.def; d != nil {
-		out := old
-		for i := 0; i < tc.Width; i++ {
-			if m.Bit(i) {
-				out[i] = d.loadI(a, start+int32(i))
-			}
-		}
-		return out
-	}
-	return vec.LoadConsecutive(a.I, start, m, tc.Width, old)
-}
-
-// StoreVecI performs a unit-stride vector store to a.I[start:].
-func (tc *TaskCtx) StoreVecI(a *Array, start int32, val vec.Vec, m vec.Mask) {
-	tc.Op(vec.ClassVStore, m != vec.FullMask(tc.Width))
-	for i := 0; i < tc.Width; i++ {
-		if m.Bit(i) {
-			tc.checkLane("vstore", a, i, start+int32(i))
-			tc.noteAccess(a.Addr(start+int32(i)), machine.AccPlain)
-		}
-	}
-	if d := tc.def; d != nil {
-		for i := 0; i < tc.Width; i++ {
-			if m.Bit(i) {
-				d.storeI(a, start+int32(i), val[i])
-			}
-		}
-		return
-	}
-	vec.StoreConsecutive(a.I, start, val, m, tc.Width)
-}
-
 // PackedStore packs active lanes of val to a.I[start:] and returns the count
 // (ISPC packed_store_active).
 func (tc *TaskCtx) PackedStore(a *Array, start int32, val vec.Vec, m vec.Mask) int {
@@ -550,29 +417,9 @@ func (tc *TaskCtx) AtomicUpdateScalar(a *Array, idx int32, newVal int32) int32 {
 	return old
 }
 
-// AtomicAddLanes performs per-lane atomic adds: a.I[idx[i]] += val[i] for
-// active lanes (the unoptimized vector-to-vector atomic class, lowered to a
-// hardware atomic per active lane).
-func (tc *TaskCtx) AtomicAddLanes(a *Array, idx, val vec.Vec, m vec.Mask, push bool) {
-	idx = tc.corruptIdx("scatter", a, idx, m)
-	n := m.PopCount()
-	d := tc.def
-	for i := 0; i < tc.Width; i++ {
-		if m.Bit(i) {
-			tc.checkLane("atomic-add", a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-			if d != nil {
-				d.addI(a, idx[i], val[i])
-			} else {
-				a.I[idx[i]] += val[i]
-			}
-		}
-	}
-	tc.countAtomics(n, false, push)
-}
-
-// AtomicAddLanesContended is AtomicAddLanes against a shared scalar location
-// (all lanes target the same address): the unoptimized worklist push pattern.
+// AtomicAddLanesContended is a per-lane atomic add of 1 against a shared
+// scalar location (all lanes target the same address), returning each lane's
+// old value: the unoptimized worklist push pattern.
 func (tc *TaskCtx) AtomicAddLanesContended(a *Array, idx int32, m vec.Mask, push bool) vec.Vec {
 	tc.checkScalar("atomic-add", a, idx)
 	n := m.PopCount()
@@ -593,29 +440,6 @@ func (tc *TaskCtx) AtomicAddLanesContended(a *Array, idx int32, m vec.Mask, push
 	return out
 }
 
-// AtomicAddFLanes performs per-lane atomic float adds on distinct locations
-// (lowered to compare-exchange loops on hardware, as ISPC does for float
-// atomics — the pattern that makes PageRank atomic-heavy). Deferred tasks
-// log deltas that merge in task order — the same accumulation order as the
-// cooperative schedule, so float sums are bit-identical.
-func (tc *TaskCtx) AtomicAddFLanes(a *Array, idx vec.Vec, val vec.FVec, m vec.Mask) {
-	idx = tc.corruptIdx("scatter", a, idx, m)
-	n := m.PopCount()
-	d := tc.def
-	for i := 0; i < tc.Width; i++ {
-		if m.Bit(i) {
-			tc.checkLane("atomic-add", a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-			if d != nil {
-				d.addF(a, idx[i], val[i])
-			} else {
-				a.F[idx[i]] += val[i]
-			}
-		}
-	}
-	tc.countAtomics(n, false, false)
-}
-
 // AtomicAddFScalar atomically accumulates a float into a shared scalar
 // (vector-to-scalar reduction + one atomic, ISPC atomic_add_global).
 func (tc *TaskCtx) AtomicAddFScalar(a *Array, idx int32, delta float32) {
@@ -628,67 +452,6 @@ func (tc *TaskCtx) AtomicAddFScalar(a *Array, idx int32, delta float32) {
 		return
 	}
 	a.F[idx] += delta
-}
-
-// AtomicMinLanes performs per-lane atomic mins on distinct locations,
-// returning a mask of lanes that lowered the stored value (SSSP/BFS relax).
-// A deferred task's improved mask is computed against its own view; the
-// logged mins merge monotonically (committed values only decrease), so the
-// converged fixed point is unaffected.
-func (tc *TaskCtx) AtomicMinLanes(a *Array, idx, val vec.Vec, m vec.Mask) vec.Mask {
-	idx = tc.corruptIdx("scatter", a, idx, m)
-	var improved vec.Mask
-	n := 0
-	d := tc.def
-	for i := 0; i < tc.Width; i++ {
-		if !m.Bit(i) {
-			continue
-		}
-		n++
-		tc.checkLane("atomic-min", a, i, idx[i])
-		tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-		if d != nil {
-			if val[i] < d.loadI(a, idx[i]) {
-				d.minI(a, idx[i], val[i])
-				improved = improved.Set(i)
-			}
-		} else if val[i] < a.I[idx[i]] {
-			a.I[idx[i]] = val[i]
-			improved = improved.Set(i)
-		}
-	}
-	tc.countAtomics(n, false, false)
-	return improved
-}
-
-// AtomicCASLanes performs per-lane compare-and-swap on distinct locations,
-// returning the mask of lanes that won (stored new). A deferred task wins
-// against its own view; at merge the logged CAS applies only if the
-// committed value still matches, so each location transitions exactly once.
-func (tc *TaskCtx) AtomicCASLanes(a *Array, idx, old, new vec.Vec, m vec.Mask) vec.Mask {
-	idx = tc.corruptIdx("scatter", a, idx, m)
-	var won vec.Mask
-	n := 0
-	d := tc.def
-	for i := 0; i < tc.Width; i++ {
-		if !m.Bit(i) {
-			continue
-		}
-		n++
-		tc.checkLane("atomic-cas", a, i, idx[i])
-		tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-		if d != nil {
-			if d.loadI(a, idx[i]) == old[i] {
-				d.casI(a, idx[i], old[i], new[i])
-				won = won.Set(i)
-			}
-		} else if a.I[idx[i]] == old[i] {
-			a.I[idx[i]] = new[i]
-			won = won.Set(i)
-		}
-	}
-	tc.countAtomics(n, false, false)
-	return won
 }
 
 // LocalAtomicLanes models an ISPC local (intra-task) atomic: lockstep

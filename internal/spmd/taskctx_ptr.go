@@ -5,40 +5,36 @@ import (
 	"math/bits"
 
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
-// Pointer-variant memory and atomic primitives for the generated-Go kernel
-// backend (internal/compiled). Each is the exact accounting twin of its
-// by-value counterpart in taskctx.go — same bounds-check, trace-note,
-// injection-draw and counter order — but reads operands and writes results
-// through pointers, so the 128-byte vec.Vec values stay in the caller's
-// stack frame instead of being copied per call (the interpreter's dominant
-// wall-clock cost). Results use the same merge semantics: only active lanes
-// of *dst are written.
+// Vector memory and atomic primitives. Operands and results travel through
+// pointers so the 128-byte vec.Vec values stay in the caller's frame; only
+// active lanes of a destination are written (merge semantics).
 //
-// Beyond the calling convention, these variants specialize the two hottest
-// costing configurations into fused single-pass lane loops with all
-// loop-invariant state hoisted (shadow buffer, epoch, cache model, cost
-// table): a stage-free cooperative segment (segImmediate, pager off) probes
-// the hierarchy and records one cost byte per access, and live mode charges
-// stalls directly. Recording mode and pager-attached runs take the generic
-// path through noteAccess and the deferredCtx accessors. Active lanes are
-// walked by clearing set bits of the mask, so per-lane order — and with it
-// every trace, cost-byte, op-log and stall append — is exactly the
-// ascending-lane order of the generic loops: modeled output is bit-identical
-// across all paths by construction.
+// Every primitive is the same three steps:
 //
-// Any change here must be mirrored against taskctx.go and is guarded by the
-// interp-vs-compiled differential tests.
+//  1. the instruction charge (Op/InnerOp, or countAtomics after an atomic);
+//  2. the accounting funnel — chargeLanes for indexed lanes, chargeRun for a
+//     unit-stride run — which bounds-checks every active lane and charges its
+//     memory access, in ascending lane order, in whichever costing mode the
+//     segment is in. This is the one place a vector lane access is costed;
+//  3. a data-movement pass (the "mover"): through the task's shadow view and
+//     op log when effects are deferred, straight on the array otherwise.
+//
+// Charging all lanes and then moving all lanes is bit-identical to doing both
+// lane by lane: the funnel appends only to the access trace / cost bytes /
+// stall buckets and the cache model, a mover only to the op log, the shadow
+// and the arrays — disjoint state, so each stream sees the same appends in
+// the same ascending-lane order either way. A bounds violation unwinds from
+// the funnel, before any lane of the op has moved.
 
 // recAccess appends one committed-access trace event to acc with the same
 // line-level run folding noteAccess performs (same staged-bit, kind, count
 // and line checks, in the same order), operating on a caller-hoisted slice so
-// fused recording loops stay call-free per lane. ds must be non-zero (the
+// the recording loop stays call-free per lane. ds must be non-zero (the
 // engine disables folding under a pager by zeroing dedupShift, and those runs
-// take the generic noteAccess path).
+// take the per-lane noteAccess path).
 func recAccess(acc []int64, addr, k64 int64, ds uint) []int64 {
 	if n := len(acc) - 1; n >= 0 {
 		last := acc[n]
@@ -53,670 +49,257 @@ func recAccess(acc []int64, addr, k64 int64, ds uint) []int64 {
 	return append(acc, addr<<accAddrShift|k64<<accKindShift)
 }
 
+// chargeLanes is the accounting funnel: it validates idx's active lanes
+// against a and charges one access of the given kind per lane, ascending.
+// Live tasks probe the hierarchy and add the stall; stage-free cooperative
+// segments probe and record one cost byte (none for AccPlain, whose stall row
+// is zero — the fold would add nothing); recording segments append run-folded
+// trace words. With a pager attached every mode goes lane by lane through
+// noteAccess, which pages each address. Loop-invariant state is hoisted into
+// locals and flushed before a bounds violation at lane k unwinds the task, so
+// lanes below k are charged exactly as checkLane+noteAccess would have.
+func (tc *TaskCtx) chargeLanes(op string, a *Array, idx *vec.Vec, m vec.Mask, kind machine.AccessKind) {
+	if m == 0 {
+		return // no access: must not lock an undecided segment into recording
+	}
+	e, d := tc.E, tc.def
+	if e.Pager != nil {
+		for bs := uint32(m); bs != 0; bs &= bs - 1 {
+			i := bits.TrailingZeros32(bs)
+			tc.checkLane(op, a, i, idx[i])
+			tc.noteAccess(a.Addr(idx[i]), kind)
+		}
+		return
+	}
+	base, un := a.Base, uint32(a.Len())
+	bad := -1
+	if d != nil && d.mode != segImmediate {
+		d.mode = segRecording
+		ds, k64 := d.dedupShift, int64(kind)
+		acc := d.acc
+		for bs := uint32(m); bs != 0; bs &= bs - 1 {
+			i := bits.TrailingZeros32(bs)
+			ii := idx[i]
+			if uint32(ii) >= un {
+				bad = i
+				break
+			}
+			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
+		}
+		d.acc = acc
+	} else {
+		mm, core := e.Mem, tc.core
+		ls := mm.LineShift()
+		tags, tmask := mm.L1View(core)
+		if d != nil {
+			record, kb := kind != machine.AccPlain, byte(kind)<<2
+			costs := d.costs
+			for bs := uint32(m); bs != 0; bs &= bs - 1 {
+				i := bits.TrailingZeros32(bs)
+				ii := idx[i]
+				if uint32(ii) >= un {
+					bad = i
+					break
+				}
+				addr := base + int64(ii)*4
+				lvl := machine.L1
+				if line := addr >> ls; tags[line&tmask] == line {
+					mm.RepeatHits(1) // inline L1-hit probe
+				} else {
+					lvl = mm.Access(core, addr)
+				}
+				if record {
+					costs = append(costs, kb|byte(lvl))
+				}
+			}
+			d.costs = costs
+		} else {
+			tab, cls := &e.stallTab[kind], accCostClass[kind]
+			l1c, stall := tab[machine.L1], tc.stl[cls]
+			for bs := uint32(m); bs != 0; bs &= bs - 1 {
+				i := bits.TrailingZeros32(bs)
+				ii := idx[i]
+				if uint32(ii) >= un {
+					bad = i
+					break
+				}
+				addr := base + int64(ii)*4
+				if line := addr >> ls; tags[line&tmask] == line {
+					mm.RepeatHits(1) // inline L1-hit probe
+					stall += l1c
+				} else {
+					stall += tab[mm.Access(core, addr)]
+				}
+			}
+			tc.stl[cls] = stall
+		}
+	}
+	if bad >= 0 {
+		tc.checkLane(op, a, bad, idx[bad]) // out of range: fails the task
+	}
+}
+
+// chargeRun is the funnel for a unit-stride run a[start+i]: the leading lane
+// pays the full load latency (AccLoad), continuation lanes stall only when
+// their line is not already in L1 (AccStream). Lane 0 precedes every other
+// lane, so two chargeLanes calls keep ascending lane order.
+func (tc *TaskCtx) chargeRun(op string, a *Array, start int32, m vec.Mask) {
+	var idx vec.Vec
+	for i := 0; i < tc.Width; i++ {
+		idx[i] = start + int32(i)
+	}
+	tc.chargeLanes(op, a, &idx, m&1, machine.AccLoad)
+	tc.chargeLanes(op, a, &idx, m&^1, machine.AccStream)
+}
+
 // shadowView returns the task's pending-write view of a for lane loads: the
-// packed stamp|value words and current epoch, or a nil slice when the task
-// has no shadow for a (then committed values are authoritative).
-func (d *deferredCtx) shadowView(a *Array) ([]uint64, uint32) {
-	if id := int(a.id); id < len(d.shadows) {
-		if sh := d.shadows[id]; sh != nil {
-			return sh.sv, sh.epoch
+// packed stamp|value words and current epoch, or a nil slice when the task is
+// live or has no shadow for a (then committed values are authoritative).
+func (tc *TaskCtx) shadowView(a *Array) ([]uint64, uint32) {
+	if d := tc.def; d != nil {
+		if id := int(a.id); id < len(d.shadows) {
+			if sh := d.shadows[id]; sh != nil {
+				return sh.sv, sh.epoch
+			}
 		}
 	}
 	return nil, 0
 }
 
-// GatherIP is GatherI writing into *dst (active lanes only).
+// GatherIP gathers a.I[idx[i]] into dst for active lanes with full cost
+// accounting. inner marks inner-loop operations for utilization measurement.
 func (tc *TaskCtx) GatherIP(a *Array, idx *vec.Vec, m vec.Mask, inner bool, dst *vec.Vec) {
-	if tc.E.Inject != nil {
-		tmp := tc.corruptIdx("gather", a, *idx, m)
-		idx = &tmp
-	}
+	idx = tc.corruptIdx("gather", a, idx, m)
 	if inner {
 		tc.InnerOp(vec.ClassGather, true, m.PopCount())
 	} else {
 		tc.Op(vec.ClassGather, true)
 	}
-	kind := tc.gatherKind()
-	e := tc.E
-	w := tc.Width
-	d := tc.def
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
-		kb := byte(kind) << 2
-		sv, ep := d.shadowView(a)
-		src := a.I
-		costs := d.costs
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("gather", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; kb|L1 == kb (L1 is level 0)
-				costs = append(costs, kb)
-			} else {
-				costs = append(costs, kb|byte(mm.Access(core, addr)))
-			}
-			v := src[ii]
-			if sv != nil {
-				if wd := sv[ii]; uint32(wd>>32) == ep {
-					v = int32(uint32(wd))
-				}
-			}
-			dst[i] = v
-		}
-		d.costs = costs
-		return
-	}
-	if d != nil && d.dedupShift != 0 {
-		// Fused recording loop: one pass per lane, trace words folded inline
-		// (recAccess mirrors noteAccess exactly) and the shadow view hoisted.
-		// The generic path notes all lanes then loads all lanes; loads append
-		// nothing, so interleaving them lane-by-lane leaves the trace and the
-		// loaded values bit-identical.
-		base := a.Base
-		un := uint32(a.Len())
-		ds, k64 := d.dedupShift, int64(kind)
-		sv, ep := d.shadowView(a)
-		src := a.I
-		d.mode = segRecording
-		acc := d.acc
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				d.acc = acc
-				tc.checkLane("gather", a, i, ii)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			v := src[ii]
-			if sv != nil {
-				if wd := sv[ii]; uint32(wd>>32) == ep {
-					v = int32(uint32(wd))
-				}
-			}
-			dst[i] = v
-		}
-		d.acc = acc
-		return
-	}
-	if d != nil {
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				tc.checkLane("gather", a, i, idx[i])
-				tc.noteAccess(a.Addr(idx[i]), kind)
-			}
-		}
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				dst[i] = d.loadI(a, idx[i])
-			}
-		}
-		return
-	}
-	if e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
-		tab := &e.stallTab[kind]
-		l1c := tab[machine.L1]
-		cls := accCostClass[kind]
-		src := a.I
-		stall := tc.stl[cls]
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.stl[cls] = stall
-				tc.checkLane("gather", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1)
-				stall += l1c
-			} else {
-				stall += tab[mm.Access(core, addr)]
-			}
-			dst[i] = src[ii]
-		}
-		tc.stl[cls] = stall
-		return
-	}
+	tc.chargeLanes("gather", a, idx, m, tc.gatherKind())
 	src := a.I
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			tc.checkLane("gather", a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), kind)
-			dst[i] = src[idx[i]]
+	sv, ep := tc.shadowView(a)
+	for bs := uint32(m); bs != 0; bs &= bs - 1 {
+		i := bits.TrailingZeros32(bs)
+		ii := idx[i]
+		v := src[ii]
+		if sv != nil {
+			if wd := sv[ii]; uint32(wd>>32) == ep {
+				v = int32(uint32(wd))
+			}
 		}
+		dst[i] = v
 	}
 }
 
-// GatherFP is GatherF writing into *dst (active lanes only).
+// GatherFP is GatherIP for float arrays.
 func (tc *TaskCtx) GatherFP(a *Array, idx *vec.Vec, m vec.Mask, inner bool, dst *vec.FVec) {
-	if tc.E.Inject != nil {
-		tmp := tc.corruptIdx("gather", a, *idx, m)
-		idx = &tmp
-	}
+	idx = tc.corruptIdx("gather", a, idx, m)
 	if inner {
 		tc.InnerOp(vec.ClassGather, true, m.PopCount())
 	} else {
 		tc.Op(vec.ClassGather, true)
 	}
-	kind := tc.gatherKind()
-	e := tc.E
-	w := tc.Width
-	d := tc.def
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
-		kb := byte(kind) << 2
-		sv, ep := d.shadowView(a)
-		src := a.F
-		costs := d.costs
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("gather", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; kb|L1 == kb (L1 is level 0)
-				costs = append(costs, kb)
-			} else {
-				costs = append(costs, kb|byte(mm.Access(core, addr)))
-			}
-			v := src[ii]
-			if sv != nil {
-				if wd := sv[ii]; uint32(wd>>32) == ep {
-					v = math.Float32frombits(uint32(wd))
-				}
-			}
-			dst[i] = v
-		}
-		d.costs = costs
-		return
-	}
-	if d != nil && d.dedupShift != 0 {
-		base := a.Base
-		un := uint32(a.Len())
-		ds, k64 := d.dedupShift, int64(kind)
-		sv, ep := d.shadowView(a)
-		src := a.F
-		d.mode = segRecording
-		acc := d.acc
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				d.acc = acc
-				tc.checkLane("gather", a, i, ii)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			v := src[ii]
-			if sv != nil {
-				if wd := sv[ii]; uint32(wd>>32) == ep {
-					v = math.Float32frombits(uint32(wd))
-				}
-			}
-			dst[i] = v
-		}
-		d.acc = acc
-		return
-	}
-	if d != nil {
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				tc.checkLane("gather", a, i, idx[i])
-				tc.noteAccess(a.Addr(idx[i]), kind)
-			}
-		}
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				dst[i] = d.loadF(a, idx[i])
-			}
-		}
-		return
-	}
-	if e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
-		tab := &e.stallTab[kind]
-		l1c := tab[machine.L1]
-		cls := accCostClass[kind]
-		src := a.F
-		stall := tc.stl[cls]
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.stl[cls] = stall
-				tc.checkLane("gather", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1)
-				stall += l1c
-			} else {
-				stall += tab[mm.Access(core, addr)]
-			}
-			dst[i] = src[ii]
-		}
-		tc.stl[cls] = stall
-		return
-	}
+	tc.chargeLanes("gather", a, idx, m, tc.gatherKind())
 	src := a.F
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			tc.checkLane("gather", a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), kind)
-			dst[i] = src[idx[i]]
+	sv, ep := tc.shadowView(a)
+	for bs := uint32(m); bs != 0; bs &= bs - 1 {
+		i := bits.TrailingZeros32(bs)
+		ii := idx[i]
+		v := src[ii]
+		if sv != nil {
+			if wd := sv[ii]; uint32(wd>>32) == ep {
+				v = math.Float32frombits(uint32(wd))
+			}
 		}
+		dst[i] = v
 	}
 }
 
-// ScatterIP is ScatterI with pointer operands.
-func (tc *TaskCtx) ScatterIP(a *Array, idx, val *vec.Vec, m vec.Mask) {
-	if tc.E.Inject != nil {
-		tmp := tc.corruptIdx("scatter", a, *idx, m)
-		idx = &tmp
+// LoadVecIP performs a unit-stride vector load from a.I[start:] into dst.
+func (tc *TaskCtx) LoadVecIP(a *Array, start int32, m vec.Mask, dst *vec.Vec) {
+	tc.Op(vec.ClassVLoad, m != vec.FullMask(tc.Width))
+	tc.chargeRun("vload", a, start, m)
+	src := a.I
+	sv, ep := tc.shadowView(a)
+	for bs := uint32(m); bs != 0; bs &= bs - 1 {
+		i := bits.TrailingZeros32(bs)
+		ii := start + int32(i)
+		v := src[ii]
+		if sv != nil {
+			if wd := sv[ii]; uint32(wd>>32) == ep {
+				v = int32(uint32(wd))
+			}
+		}
+		dst[i] = v
 	}
+}
+
+// ScatterIP scatters val to a.I[idx[i]] for active lanes. Stores retire
+// through the write buffer; no exposed stall is charged (AccPlain), matching
+// the scalar-store treatment. Conflicting lanes resolve highest-lane-wins.
+func (tc *TaskCtx) ScatterIP(a *Array, idx, val *vec.Vec, m vec.Mask) {
+	idx = tc.corruptIdx("scatter", a, idx, m)
 	tc.Op(vec.ClassScatter, true)
-	e := tc.E
-	w := tc.Width
-	d := tc.def
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
+	tc.chargeLanes("scatter", a, idx, m, machine.AccPlain)
+	if d := tc.def; d != nil {
 		sh := d.shadowFor(a)
-		sv, epHi := sh.sv, uint64(sh.epoch)<<32
-		aid := a.id
-		ops := d.ops
+		sv, epHi, aid, ops := sh.sv, uint64(sh.epoch)<<32, a.id, d.ops
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
 			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("scatter", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; AccPlain: no stall
-			} else {
-				mm.Access(core, addr)
-			}
 			sv[ii] = epHi | uint64(uint32(val[i]))
 			ops = append(ops, memOp{aid: aid, idx: ii, op: opStoreI, iv: val[i]})
 		}
 		d.ops = ops
-		return
-	}
-	if d != nil && d.dedupShift != 0 {
-		base := a.Base
-		un := uint32(a.Len())
-		ds, k64 := d.dedupShift, int64(machine.AccPlain)
-		sh := d.shadowFor(a)
-		sv, epHi := sh.sv, uint64(sh.epoch)<<32
-		aid := a.id
-		d.mode = segRecording
-		acc, ops := d.acc, d.ops
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				d.acc = acc
-				tc.checkLane("scatter", a, i, ii)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			sv[ii] = epHi | uint64(uint32(val[i]))
-			ops = append(ops, memOp{aid: aid, idx: ii, op: opStoreI, iv: val[i]})
-		}
-		d.acc, d.ops = acc, ops
-		return
-	}
-	if d != nil {
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				tc.checkLane("scatter", a, i, idx[i])
-				tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-			}
-		}
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				d.storeI(a, idx[i], val[i])
-			}
-		}
-		return
-	}
-	if e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
-		dst := a.I
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("scatter", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; AccPlain: no stall
-			} else {
-				mm.Access(core, addr)
-			}
-			dst[ii] = val[i]
-		}
 		return
 	}
 	dst := a.I
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			tc.checkLane("scatter", a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-			dst[idx[i]] = val[i]
-		}
+	for bs := uint32(m); bs != 0; bs &= bs - 1 {
+		i := bits.TrailingZeros32(bs)
+		dst[idx[i]] = val[i]
 	}
 }
 
-// ScatterFP is ScatterF with pointer operands.
+// ScatterFP is ScatterIP for float arrays.
 func (tc *TaskCtx) ScatterFP(a *Array, idx *vec.Vec, val *vec.FVec, m vec.Mask) {
-	if tc.E.Inject != nil {
-		tmp := tc.corruptIdx("scatter", a, *idx, m)
-		idx = &tmp
-	}
+	idx = tc.corruptIdx("scatter", a, idx, m)
 	tc.Op(vec.ClassScatter, true)
-	e := tc.E
-	w := tc.Width
-	d := tc.def
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
+	tc.chargeLanes("scatter", a, idx, m, machine.AccPlain)
+	if d := tc.def; d != nil {
 		sh := d.shadowFor(a)
-		sv, epHi := sh.sv, uint64(sh.epoch)<<32
-		aid := a.id
-		ops := d.ops
+		sv, epHi, aid, ops := sh.sv, uint64(sh.epoch)<<32, a.id, d.ops
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
 			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("scatter", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; AccPlain: no stall
-			} else {
-				mm.Access(core, addr)
-			}
 			sv[ii] = epHi | uint64(math.Float32bits(val[i]))
 			ops = append(ops, memOp{aid: aid, idx: ii, op: opStoreF, fv: val[i]})
 		}
 		d.ops = ops
-		return
-	}
-	if d != nil && d.dedupShift != 0 {
-		base := a.Base
-		un := uint32(a.Len())
-		ds, k64 := d.dedupShift, int64(machine.AccPlain)
-		sh := d.shadowFor(a)
-		sv, epHi := sh.sv, uint64(sh.epoch)<<32
-		aid := a.id
-		d.mode = segRecording
-		acc, ops := d.acc, d.ops
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				d.acc = acc
-				tc.checkLane("scatter", a, i, ii)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			sv[ii] = epHi | uint64(math.Float32bits(val[i]))
-			ops = append(ops, memOp{aid: aid, idx: ii, op: opStoreF, fv: val[i]})
-		}
-		d.acc, d.ops = acc, ops
-		return
-	}
-	if d != nil {
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				tc.checkLane("scatter", a, i, idx[i])
-				tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-			}
-		}
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				d.storeF(a, idx[i], val[i])
-			}
-		}
-		return
-	}
-	if e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
-		dst := a.F
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("scatter", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; AccPlain: no stall
-			} else {
-				mm.Access(core, addr)
-			}
-			dst[ii] = val[i]
-		}
 		return
 	}
 	dst := a.F
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			tc.checkLane("scatter", a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-			dst[idx[i]] = val[i]
-		}
+	for bs := uint32(m); bs != 0; bs &= bs - 1 {
+		i := bits.TrailingZeros32(bs)
+		dst[idx[i]] = val[i]
 	}
 }
 
-// LoadVecIP is LoadVecI writing into *dst (active lanes only).
-func (tc *TaskCtx) LoadVecIP(a *Array, start int32, m vec.Mask, dst *vec.Vec) {
-	tc.Op(vec.ClassVLoad, m != vec.FullMask(tc.Width))
-	e := tc.E
-	w := tc.Width
-	d := tc.def
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
-		sv, ep := d.shadowView(a)
-		src := a.I
-		costs := d.costs
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := start + int32(i)
-			if uint32(ii) >= un {
-				tc.checkLane("vload", a, i, ii)
-			}
-			kb := byte(machine.AccStream) << 2
-			if i == 0 {
-				kb = byte(machine.AccLoad) << 2
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; kb|L1 == kb (L1 is level 0)
-				costs = append(costs, kb)
-			} else {
-				costs = append(costs, kb|byte(mm.Access(core, addr)))
-			}
-			v := src[ii]
-			if sv != nil {
-				if wd := sv[ii]; uint32(wd>>32) == ep {
-					v = int32(uint32(wd))
-				}
-			}
-			dst[i] = v
-		}
-		d.costs = costs
-		return
-	}
-	if d != nil && d.dedupShift != 0 {
-		base := a.Base
-		un := uint32(a.Len())
-		ds := d.dedupShift
-		sv, ep := d.shadowView(a)
-		src := a.I
-		d.mode = segRecording
-		acc := d.acc
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := start + int32(i)
-			if uint32(ii) >= un {
-				d.acc = acc
-				tc.checkLane("vload", a, i, ii)
-			}
-			k64 := int64(machine.AccStream)
-			if i == 0 {
-				k64 = int64(machine.AccLoad)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			v := src[ii]
-			if sv != nil {
-				if wd := sv[ii]; uint32(wd>>32) == ep {
-					v = int32(uint32(wd))
-				}
-			}
-			dst[i] = v
-		}
-		d.acc = acc
-		return
-	}
-	if d != nil {
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				tc.checkLane("vload", a, i, start+int32(i))
-				kind := machine.AccStream
-				if i == 0 {
-					kind = machine.AccLoad
-				}
-				tc.noteAccess(a.Addr(start+int32(i)), kind)
-			}
-		}
-		for i := 0; i < w; i++ {
-			if m.Bit(i) {
-				dst[i] = d.loadI(a, start+int32(i))
-			}
-		}
-		return
-	}
-	if e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
-		src := a.I
-		// Two class-split stall locals: the leading lane's full-latency load
-		// charges CostMemLoad, continuation lanes charge CostDenseStream.
-		// Both restore on the bounds-unwind path, mirroring the single-local
-		// pattern of the gather loops.
-		stLoad := tc.stl[obs.CostMemLoad]
-		stStream := tc.stl[obs.CostDenseStream]
-		for bs := uint32(m); bs != 0; bs &= bs - 1 {
-			i := bits.TrailingZeros32(bs)
-			ii := start + int32(i)
-			if uint32(ii) >= un {
-				tc.stl[obs.CostMemLoad], tc.stl[obs.CostDenseStream] = stLoad, stStream
-				tc.checkLane("vload", a, i, ii)
-			}
-			kind := machine.AccStream
-			if i == 0 {
-				kind = machine.AccLoad
-			}
-			addr := base + int64(ii)*4
-			var c float64
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1)
-				c = e.stallTab[kind][machine.L1]
-			} else {
-				c = e.stallTab[kind][mm.Access(core, addr)]
-			}
-			if i == 0 {
-				stLoad += c
-			} else {
-				stStream += c
-			}
-			dst[i] = src[ii]
-		}
-		tc.stl[obs.CostMemLoad], tc.stl[obs.CostDenseStream] = stLoad, stStream
-		return
-	}
-	src := a.I
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			tc.checkLane("vload", a, i, start+int32(i))
-			kind := machine.AccStream
-			if i == 0 {
-				kind = machine.AccLoad
-			}
-			tc.noteAccess(a.Addr(start+int32(i)), kind)
-			dst[i] = src[start+int32(i)]
-		}
-	}
-}
-
-// AtomicMinLanesP is AtomicMinLanes with pointer operands.
+// AtomicMinLanesP performs per-lane atomic mins on distinct locations,
+// returning a mask of lanes that lowered the stored value (SSSP/BFS relax).
+// A deferred task's improved mask is computed against its own view; the
+// logged mins merge monotonically (committed values only decrease), so the
+// converged fixed point is unaffected.
 func (tc *TaskCtx) AtomicMinLanesP(a *Array, idx, val *vec.Vec, m vec.Mask) vec.Mask {
-	if tc.E.Inject != nil {
-		tmp := tc.corruptIdx("scatter", a, *idx, m)
-		idx = &tmp
-	}
+	idx = tc.corruptIdx("scatter", a, idx, m)
+	tc.chargeLanes("atomic-min", a, idx, m, machine.AccPlain)
 	var improved vec.Mask
-	e := tc.E
-	d := tc.def
-	w := tc.Width
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
+	src := a.I
+	if d := tc.def; d != nil {
 		sh := d.shadowFor(a)
-		sv, ep := sh.sv, sh.epoch
-		epHi := uint64(ep) << 32
-		aid := a.id
-		src := a.I
-		ops := d.ops
+		sv, ep, epHi, aid, ops := sh.sv, sh.epoch, uint64(sh.epoch)<<32, a.id, d.ops
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
 			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("atomic-min", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; AccPlain: no stall
-			} else {
-				mm.Access(core, addr)
-			}
 			cur := src[ii]
 			if wd := sv[ii]; uint32(wd>>32) == ep {
 				cur = int32(uint32(wd))
@@ -728,97 +311,34 @@ func (tc *TaskCtx) AtomicMinLanesP(a *Array, idx, val *vec.Vec, m vec.Mask) vec.
 			}
 		}
 		d.ops = ops
-		tc.countAtomics(m.PopCount(), false, false)
-		return improved
-	}
-	if d != nil && d.dedupShift != 0 {
-		base := a.Base
-		un := uint32(a.Len())
-		ds, k64 := d.dedupShift, int64(machine.AccPlain)
-		sh := d.shadowFor(a)
-		sv, ep := sh.sv, sh.epoch
-		epHi := uint64(ep) << 32
-		aid := a.id
-		src := a.I
-		d.mode = segRecording
-		acc, ops := d.acc, d.ops
+	} else {
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				d.acc, d.ops = acc, ops
-				tc.checkLane("atomic-min", a, i, ii)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			cur := src[ii]
-			if wd := sv[ii]; uint32(wd>>32) == ep {
-				cur = int32(uint32(wd))
-			}
-			if val[i] < cur {
-				sv[ii] = epHi | uint64(uint32(val[i]))
-				ops = append(ops, memOp{aid: aid, idx: ii, op: opMinI, iv: val[i]})
+			if ii := idx[i]; val[i] < src[ii] {
+				src[ii] = val[i]
 				improved = improved.Set(i)
 			}
 		}
-		d.acc, d.ops = acc, ops
-		tc.countAtomics(m.PopCount(), false, false)
-		return improved
 	}
-	n := 0
-	for i := 0; i < w; i++ {
-		if !m.Bit(i) {
-			continue
-		}
-		n++
-		tc.checkLane("atomic-min", a, i, idx[i])
-		tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-		if d != nil {
-			if val[i] < d.loadI(a, idx[i]) {
-				d.minI(a, idx[i], val[i])
-				improved = improved.Set(i)
-			}
-		} else if val[i] < a.I[idx[i]] {
-			a.I[idx[i]] = val[i]
-			improved = improved.Set(i)
-		}
-	}
-	tc.countAtomics(n, false, false)
+	tc.countAtomics(m.PopCount(), false, false)
 	return improved
 }
 
-// AtomicCASLanesP is AtomicCASLanes with pointer operands.
+// AtomicCASLanesP performs per-lane compare-and-swap on distinct locations,
+// returning the mask of lanes that won (stored new). A deferred task wins
+// against its own view; at merge the logged CAS applies only if the
+// committed value still matches, so each location transitions exactly once.
 func (tc *TaskCtx) AtomicCASLanesP(a *Array, idx, old, new *vec.Vec, m vec.Mask) vec.Mask {
-	if tc.E.Inject != nil {
-		tmp := tc.corruptIdx("scatter", a, *idx, m)
-		idx = &tmp
-	}
+	idx = tc.corruptIdx("scatter", a, idx, m)
+	tc.chargeLanes("atomic-cas", a, idx, m, machine.AccPlain)
 	var won vec.Mask
-	e := tc.E
-	d := tc.def
-	w := tc.Width
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
+	src := a.I
+	if d := tc.def; d != nil {
 		sh := d.shadowFor(a)
-		sv, ep := sh.sv, sh.epoch
-		epHi := uint64(ep) << 32
-		aid := a.id
-		src := a.I
-		ops := d.ops
+		sv, ep, epHi, aid, ops := sh.sv, sh.epoch, uint64(sh.epoch)<<32, a.id, d.ops
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
 			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("atomic-cas", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; AccPlain: no stall
-			} else {
-				mm.Access(core, addr)
-			}
 			cur := src[ii]
 			if wd := sv[ii]; uint32(wd>>32) == ep {
 				cur = int32(uint32(wd))
@@ -830,97 +350,32 @@ func (tc *TaskCtx) AtomicCASLanesP(a *Array, idx, old, new *vec.Vec, m vec.Mask)
 			}
 		}
 		d.ops = ops
-		tc.countAtomics(m.PopCount(), false, false)
-		return won
-	}
-	if d != nil && d.dedupShift != 0 {
-		base := a.Base
-		un := uint32(a.Len())
-		ds, k64 := d.dedupShift, int64(machine.AccPlain)
-		sh := d.shadowFor(a)
-		sv, ep := sh.sv, sh.epoch
-		epHi := uint64(ep) << 32
-		aid := a.id
-		src := a.I
-		d.mode = segRecording
-		acc, ops := d.acc, d.ops
+	} else {
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				d.acc, d.ops = acc, ops
-				tc.checkLane("atomic-cas", a, i, ii)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			cur := src[ii]
-			if wd := sv[ii]; uint32(wd>>32) == ep {
-				cur = int32(uint32(wd))
-			}
-			if cur == old[i] {
-				sv[ii] = epHi | uint64(uint32(new[i]))
-				ops = append(ops, memOp{aid: aid, idx: ii, op: opCASI, iv: new[i], old: old[i]})
+			if ii := idx[i]; src[ii] == old[i] {
+				src[ii] = new[i]
 				won = won.Set(i)
 			}
 		}
-		d.acc, d.ops = acc, ops
-		tc.countAtomics(m.PopCount(), false, false)
-		return won
 	}
-	n := 0
-	for i := 0; i < w; i++ {
-		if !m.Bit(i) {
-			continue
-		}
-		n++
-		tc.checkLane("atomic-cas", a, i, idx[i])
-		tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-		if d != nil {
-			if d.loadI(a, idx[i]) == old[i] {
-				d.casI(a, idx[i], old[i], new[i])
-				won = won.Set(i)
-			}
-		} else if a.I[idx[i]] == old[i] {
-			a.I[idx[i]] = new[i]
-			won = won.Set(i)
-		}
-	}
-	tc.countAtomics(n, false, false)
+	tc.countAtomics(m.PopCount(), false, false)
 	return won
 }
 
-// AtomicAddLanesP is AtomicAddLanes with pointer operands.
+// AtomicAddLanesP performs per-lane atomic adds: a.I[idx[i]] += val[i] for
+// active lanes (the unoptimized vector-to-vector atomic class, lowered to a
+// hardware atomic per active lane). push marks worklist pushes for Table V.
 func (tc *TaskCtx) AtomicAddLanesP(a *Array, idx, val *vec.Vec, m vec.Mask, push bool) {
-	if tc.E.Inject != nil {
-		tmp := tc.corruptIdx("scatter", a, *idx, m)
-		idx = &tmp
-	}
-	n := m.PopCount()
-	e := tc.E
-	d := tc.def
-	w := tc.Width
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
+	idx = tc.corruptIdx("scatter", a, idx, m)
+	tc.chargeLanes("atomic-add", a, idx, m, machine.AccPlain)
+	src := a.I
+	if d := tc.def; d != nil {
 		sh := d.shadowFor(a)
-		sv, ep := sh.sv, sh.epoch
-		epHi := uint64(ep) << 32
-		aid := a.id
-		src := a.I
-		ops := d.ops
+		sv, ep, epHi, aid, ops := sh.sv, sh.epoch, uint64(sh.epoch)<<32, a.id, d.ops
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
 			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("atomic-add", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; AccPlain: no stall
-			} else {
-				mm.Access(core, addr)
-			}
 			old := src[ii]
 			if wd := sv[ii]; uint32(wd>>32) == ep {
 				old = int32(uint32(wd))
@@ -929,86 +384,30 @@ func (tc *TaskCtx) AtomicAddLanesP(a *Array, idx, val *vec.Vec, m vec.Mask, push
 			ops = append(ops, memOp{aid: aid, idx: ii, op: opAddI, iv: val[i]})
 		}
 		d.ops = ops
-		tc.countAtomics(n, false, push)
-		return
-	}
-	if d != nil && d.dedupShift != 0 {
-		base := a.Base
-		un := uint32(a.Len())
-		ds, k64 := d.dedupShift, int64(machine.AccPlain)
-		sh := d.shadowFor(a)
-		sv, ep := sh.sv, sh.epoch
-		epHi := uint64(ep) << 32
-		aid := a.id
-		src := a.I
-		d.mode = segRecording
-		acc, ops := d.acc, d.ops
+	} else {
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				d.acc, d.ops = acc, ops
-				tc.checkLane("atomic-add", a, i, ii)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			old := src[ii]
-			if wd := sv[ii]; uint32(wd>>32) == ep {
-				old = int32(uint32(wd))
-			}
-			sv[ii] = epHi | uint64(uint32(old+val[i]))
-			ops = append(ops, memOp{aid: aid, idx: ii, op: opAddI, iv: val[i]})
-		}
-		d.acc, d.ops = acc, ops
-		tc.countAtomics(n, false, push)
-		return
-	}
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			tc.checkLane("atomic-add", a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-			if d != nil {
-				d.addI(a, idx[i], val[i])
-			} else {
-				a.I[idx[i]] += val[i]
-			}
+			src[idx[i]] += val[i]
 		}
 	}
-	tc.countAtomics(n, false, push)
+	tc.countAtomics(m.PopCount(), false, push)
 }
 
-// AtomicAddFLanesP is AtomicAddFLanes with pointer operands.
+// AtomicAddFLanesP performs per-lane atomic float adds on distinct locations
+// (lowered to compare-exchange loops on hardware, as ISPC does for float
+// atomics — the pattern that makes PageRank atomic-heavy). Deferred tasks
+// log deltas that merge in task order — the same accumulation order as the
+// cooperative schedule, so float sums are bit-identical.
 func (tc *TaskCtx) AtomicAddFLanesP(a *Array, idx *vec.Vec, val *vec.FVec, m vec.Mask) {
-	if tc.E.Inject != nil {
-		tmp := tc.corruptIdx("scatter", a, *idx, m)
-		idx = &tmp
-	}
-	n := m.PopCount()
-	e := tc.E
-	d := tc.def
-	w := tc.Width
-	if d != nil && d.mode == segImmediate && e.Pager == nil {
-		mm, core, base := e.Mem, tc.core, a.Base
-		ls := mm.LineShift()
-		tags, tmask := mm.L1View(core)
-		un := uint32(a.Len())
+	idx = tc.corruptIdx("scatter", a, idx, m)
+	tc.chargeLanes("atomic-add", a, idx, m, machine.AccPlain)
+	src := a.F
+	if d := tc.def; d != nil {
 		sh := d.shadowFor(a)
-		sv, ep := sh.sv, sh.epoch
-		epHi := uint64(ep) << 32
-		aid := a.id
-		src := a.F
-		ops := d.ops
+		sv, ep, epHi, aid, ops := sh.sv, sh.epoch, uint64(sh.epoch)<<32, a.id, d.ops
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
 			ii := idx[i]
-			if uint32(ii) >= un {
-				tc.checkLane("atomic-add", a, i, ii)
-			}
-			addr := base + int64(ii)*4
-			if line := addr >> ls; tags[line&tmask] == line {
-				mm.RepeatHits(1) // inline L1-hit probe; AccPlain: no stall
-			} else {
-				mm.Access(core, addr)
-			}
 			old := src[ii]
 			if wd := sv[ii]; uint32(wd>>32) == ep {
 				old = math.Float32frombits(uint32(wd))
@@ -1017,49 +416,11 @@ func (tc *TaskCtx) AtomicAddFLanesP(a *Array, idx *vec.Vec, val *vec.FVec, m vec
 			ops = append(ops, memOp{aid: aid, idx: ii, op: opAddF, fv: val[i]})
 		}
 		d.ops = ops
-		tc.countAtomics(n, false, false)
-		return
-	}
-	if d != nil && d.dedupShift != 0 {
-		base := a.Base
-		un := uint32(a.Len())
-		ds, k64 := d.dedupShift, int64(machine.AccPlain)
-		sh := d.shadowFor(a)
-		sv, ep := sh.sv, sh.epoch
-		epHi := uint64(ep) << 32
-		aid := a.id
-		src := a.F
-		d.mode = segRecording
-		acc, ops := d.acc, d.ops
+	} else {
 		for bs := uint32(m); bs != 0; bs &= bs - 1 {
 			i := bits.TrailingZeros32(bs)
-			ii := idx[i]
-			if uint32(ii) >= un {
-				d.acc, d.ops = acc, ops
-				tc.checkLane("atomic-add", a, i, ii)
-			}
-			acc = recAccess(acc, base+int64(ii)*4, k64, ds)
-			old := src[ii]
-			if wd := sv[ii]; uint32(wd>>32) == ep {
-				old = math.Float32frombits(uint32(wd))
-			}
-			sv[ii] = epHi | uint64(math.Float32bits(old+val[i]))
-			ops = append(ops, memOp{aid: aid, idx: ii, op: opAddF, fv: val[i]})
-		}
-		d.acc, d.ops = acc, ops
-		tc.countAtomics(n, false, false)
-		return
-	}
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			tc.checkLane("atomic-add", a, i, idx[i])
-			tc.noteAccess(a.Addr(idx[i]), machine.AccPlain)
-			if d != nil {
-				d.addF(a, idx[i], val[i])
-			} else {
-				a.F[idx[i]] += val[i]
-			}
+			src[idx[i]] += val[i]
 		}
 	}
-	tc.countAtomics(n, false, false)
+	tc.countAtomics(m.PopCount(), false, false)
 }

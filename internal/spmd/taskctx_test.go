@@ -23,7 +23,7 @@ func TestGatherFunctionalAndCounted(t *testing.T) {
 	}
 	var got vec.Vec
 	e.Launch(1, func(tc *TaskCtx) {
-		got = tc.GatherI(a, vec.Iota(), vec.FullMask(16), vec.Vec{}, true)
+		got = gatherI(tc, a, vec.Iota(), vec.FullMask(16), true)
 	})
 	for i := 0; i < 16; i++ {
 		if got[i] != int32(i*2) {
@@ -46,7 +46,7 @@ func TestLaneUtilizationPartial(t *testing.T) {
 	a := e.AllocI("a", 64)
 	e.Launch(1, func(tc *TaskCtx) {
 		m := vec.FullMask(4) // 4 of 16 lanes
-		tc.GatherI(a, vec.Iota(), m, vec.Vec{}, true)
+		gatherI(tc, a, vec.Iota(), m, true)
 	})
 	if u := e.Stats.LaneUtilization(16); u != 0.25 {
 		t.Errorf("utilization = %v, want 0.25", u)
@@ -57,14 +57,62 @@ func TestScatterAndVectorStores(t *testing.T) {
 	e := New(machine.Intel8(), vec.TargetAVX512x16, 1)
 	a := e.AllocI("a", 64)
 	e.Launch(1, func(tc *TaskCtx) {
-		tc.ScatterI(a, vec.Iota(), vec.Splat(9), vec.FullMask(16))
-		tc.StoreVecI(a, 32, vec.Splat(5), vec.FullMask(16))
+		scatterI(tc, a, vec.Iota(), vec.Splat(9), vec.FullMask(16))
+		tc.PackedStore(a, 32, vec.Splat(5), vec.FullMask(16))
 	})
 	if a.I[7] != 9 || a.I[40] != 5 {
 		t.Errorf("stores wrong: %d %d", a.I[7], a.I[40])
 	}
-	if e.Stats.ByClass[vec.ClassScatter] == 0 || e.Stats.ByClass[vec.ClassVStore] == 0 {
+	if e.Stats.ByClass[vec.ClassScatter] == 0 || e.Stats.ByClass[vec.ClassPacked] == 0 {
 		t.Error("store classes not counted")
+	}
+}
+
+// TestScatterConflictHighestLaneWins pins AVX512 scatter ordering: when
+// several active lanes target one index the highest-numbered lane's value is
+// the one that lands, live and deferred alike.
+func TestScatterConflictHighestLaneWins(t *testing.T) {
+	for _, mode := range []Exec{ExecLive, ExecDeferred, ExecParallel} {
+		e := newModeEngine(1, mode)
+		a := e.AllocI("a", 4)
+		var seen int32
+		err := e.Launch(1, func(tc *TaskCtx) {
+			scatterI(tc, a, vec.Splat(2), vec.FromSlice([]int32{10, 11, 12, 13}), vec.FullMask(4))
+			seen = gatherI(tc, a, vec.Splat(2), vec.FullMask(1), false)[0]
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.I[2] != 13 || seen != 13 {
+			t.Errorf("mode %d: committed %d, task view %d, want 13 (highest lane)", mode, a.I[2], seen)
+		}
+	}
+}
+
+// TestLoadsMergeAndIgnoreInactiveLanes pins merge-masked load semantics:
+// inactive lanes keep the destination's value and their (arbitrarily wild)
+// indices are neither bounds-checked nor charged.
+func TestLoadsMergeAndIgnoreInactiveLanes(t *testing.T) {
+	e := New(machine.Intel8(), vec.TargetAVX512x16, 1)
+	a := e.AllocI("a", 16)
+	for i := range a.I {
+		a.I[i] = int32(i * 10)
+	}
+	err := e.Launch(1, func(tc *TaskCtx) {
+		idx := vec.FromSlice([]int32{1, 9999, 2, -5})
+		got := vec.Splat(-7)
+		tc.GatherIP(a, &idx, vec.Mask(0).Set(0).Set(2), false, &got)
+		if got[0] != 10 || got[1] != -7 || got[2] != 20 || got[3] != -7 {
+			t.Errorf("masked gather = %v", got[:4])
+		}
+		got = vec.Splat(-7)
+		tc.LoadVecIP(a, 14, vec.Mask(0).Set(1), &got) // lanes 2.. would run off the end
+		if got[0] != -7 || got[1] != 150 || got[2] != -7 {
+			t.Errorf("masked vload = %v", got[:3])
+		}
+	})
+	if err != nil {
+		t.Fatalf("inactive out-of-range lanes rejected: %v", err)
 	}
 }
 
@@ -107,7 +155,7 @@ func TestAtomicMinLanes(t *testing.T) {
 	e.Launch(1, func(tc *TaskCtx) {
 		idx := vec.FromSlice([]int32{0, 1, 2, 3})
 		val := vec.FromSlice([]int32{50, 150, 100, 99})
-		improved = tc.AtomicMinLanes(a, idx, val, vec.FullMask(4))
+		improved = atomicMinLanes(tc, a, idx, val, vec.FullMask(4))
 	})
 	if !improved.Bit(0) || improved.Bit(1) || improved.Bit(2) || !improved.Bit(3) {
 		t.Errorf("improved = %v", improved)
@@ -128,7 +176,7 @@ func TestAtomicCASLanes(t *testing.T) {
 	var won vec.Mask
 	e.Launch(1, func(tc *TaskCtx) {
 		idx := vec.FromSlice([]int32{0, 2, 4})
-		won = tc.AtomicCASLanes(a, idx, vec.Splat(-1), vec.Splat(7), vec.FullMask(3))
+		won = atomicCASLanes(tc, a, idx, vec.Splat(-1), vec.Splat(7), vec.FullMask(3))
 	})
 	if !won.Bit(0) || won.Bit(1) || !won.Bit(2) {
 		t.Errorf("won = %v", won)
@@ -181,11 +229,11 @@ func TestGatherFAndScatterF(t *testing.T) {
 		a.F[i] = float32(i) / 2
 	}
 	e.Launch(1, func(tc *TaskCtx) {
-		v := tc.GatherF(a, vec.Iota(), vec.FullMask(8), vec.FVec{}, false)
+		v := gatherF(tc, a, vec.Iota(), vec.FullMask(8), false)
 		if v[4] != 2.0 {
 			t.Errorf("GatherF lane 4 = %v", v[4])
 		}
-		tc.ScatterF(a, vec.Iota(), vec.SplatF(9), vec.FullMask(8))
+		scatterF(tc, a, vec.Iota(), vec.SplatF(9), vec.FullMask(8))
 	})
 	if a.F[3] != 9 || a.F[8] != 4 {
 		t.Errorf("ScatterF result: %v %v", a.F[3], a.F[8])
@@ -202,13 +250,13 @@ func TestGatherCostExceedsScalarOnIntel(t *testing.T) {
 		e.Launch(1, func(tc *TaskCtx) {
 			// Warm L1.
 			for p := int32(0); p < 256; p += 16 {
-				tc.LoadVecI(a, p, vec.FullMask(16), vec.Vec{})
+				loadVecI(tc, a, p, vec.FullMask(16))
 			}
 			start := e.TimeCycles()
 			_ = start
 			tc.comp, tc.stl = costVec{}, costVec{}
 			for i := 0; i < 100; i++ {
-				tc.GatherI(a, vec.Iota(), vec.FullMask(16), vec.Vec{}, false)
+				gatherI(tc, a, vec.Iota(), vec.FullMask(16), false)
 			}
 		})
 		return e.TimeCycles()

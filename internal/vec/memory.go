@@ -2,25 +2,13 @@ package vec
 
 import "repro/internal/fault"
 
-// Memory primitives. Addresses are element indices into []int32 / []float32
-// backing arrays; the cache model (internal/machine) translates them to byte
-// addresses for locality accounting.
-//
-// Each primitive has a Checked variant that validates active-lane indices
-// before touching memory and returns a typed *fault.BoundsError instead of
-// crashing. The execution engine uses the checked forms exclusively, so
-// corrupt graphs and injected faults surface as errors; the unchecked forms
-// remain for IR-validated call sites where a violation is an internal bug.
-
-// checkLanes validates idx's active lanes against [0,n).
-func checkLanes(op string, idx Vec, m Mask, w, n int) error {
-	for i := 0; i < w; i++ {
-		if m.Bit(i) && (idx[i] < 0 || int(idx[i]) >= n) {
-			return &fault.BoundsError{Op: op, Lane: i, Index: idx[i], Len: n}
-		}
-	}
-	return nil
-}
+// Memory primitives. Addresses are element indices into []int32 backing
+// arrays; the cache model (internal/machine) translates them to byte
+// addresses for locality accounting. Gathers, scatters and unit-stride loads
+// live on spmd.TaskCtx, fused with their bounds check and cost accounting;
+// what remains here is the packed store behind cooperative worklist pushes,
+// whose Checked variant returns a typed *fault.BoundsError instead of
+// crashing so corrupt graphs and injected faults surface as errors.
 
 // checkRange validates the consecutive range [start, start+span) against
 // [0,n) for span > 0 accesses.
@@ -38,73 +26,6 @@ func checkRange(op string, start, span int32, n int) error {
 	return nil
 }
 
-// Gather loads base[idx[i]] into lane i for each active lane. Inactive lanes
-// keep old's value (merge semantics, matching AVX512 vpgatherdd {k}).
-// Out-of-range indices on active lanes panic: the IR validator guarantees
-// kernels never emit them, so a violation is an internal bug worth crashing
-// on rather than corrupting results.
-func Gather(base []int32, idx Vec, m Mask, w int, old Vec) Vec {
-	out := old
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			out[i] = base[idx[i]]
-		}
-	}
-	return out
-}
-
-// GatherF is Gather for float32 arrays.
-func GatherF(base []float32, idx Vec, m Mask, w int, old FVec) FVec {
-	out := old
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			out[i] = base[idx[i]]
-		}
-	}
-	return out
-}
-
-// Scatter stores lane i of val to base[idx[i]] for each active lane
-// (vpscatterdd). If two active lanes target the same index, the
-// highest-numbered lane wins, matching AVX512 scatter ordering.
-func Scatter(base []int32, idx Vec, val Vec, m Mask, w int) {
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			base[idx[i]] = val[i]
-		}
-	}
-}
-
-// ScatterF is Scatter for float32 arrays.
-func ScatterF(base []float32, idx Vec, val FVec, m Mask, w int) {
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			base[idx[i]] = val[i]
-		}
-	}
-}
-
-// LoadConsecutive loads base[start+i] into lane i for active lanes: the
-// standard vector load emitted for unit-stride accesses.
-func LoadConsecutive(base []int32, start int32, m Mask, w int, old Vec) Vec {
-	out := old
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			out[i] = base[start+int32(i)]
-		}
-	}
-	return out
-}
-
-// StoreConsecutive stores lane i to base[start+i] for active lanes.
-func StoreConsecutive(base []int32, start int32, val Vec, m Mask, w int) {
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			base[start+int32(i)] = val[i]
-		}
-	}
-}
-
 // PackedStoreActive packs the active lanes of val (in lane order) and stores
 // them to consecutive locations starting at base[start]. It returns the
 // number of lanes stored. This is ISPC's packed_store_active, the primitive
@@ -118,70 +39,6 @@ func PackedStoreActive(base []int32, start int32, val Vec, m Mask, w int) int {
 		}
 	}
 	return n
-}
-
-// GatherChecked is Gather with active-lane bounds validation; out-of-range
-// indices return a *fault.BoundsError with lane and index detail instead of
-// crashing.
-func GatherChecked(base []int32, idx Vec, m Mask, w int, old Vec) (Vec, error) {
-	if err := checkLanes("gather", idx, m, w, len(base)); err != nil {
-		return old, err
-	}
-	return Gather(base, idx, m, w, old), nil
-}
-
-// GatherFChecked is GatherF with active-lane bounds validation.
-func GatherFChecked(base []float32, idx Vec, m Mask, w int, old FVec) (FVec, error) {
-	if err := checkLanes("gather", idx, m, w, len(base)); err != nil {
-		return old, err
-	}
-	return GatherF(base, idx, m, w, old), nil
-}
-
-// ScatterChecked is Scatter with active-lane bounds validation; no lane is
-// stored if any active index is out of range.
-func ScatterChecked(base []int32, idx Vec, val Vec, m Mask, w int) error {
-	if err := checkLanes("scatter", idx, m, w, len(base)); err != nil {
-		return err
-	}
-	Scatter(base, idx, val, m, w)
-	return nil
-}
-
-// ScatterFChecked is ScatterF with active-lane bounds validation.
-func ScatterFChecked(base []float32, idx Vec, val FVec, m Mask, w int) error {
-	if err := checkLanes("scatter", idx, m, w, len(base)); err != nil {
-		return err
-	}
-	ScatterF(base, idx, val, m, w)
-	return nil
-}
-
-// LoadConsecutiveChecked is LoadConsecutive with bounds validation of every
-// active lane's address start+i.
-func LoadConsecutiveChecked(base []int32, start int32, m Mask, w int, old Vec) (Vec, error) {
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			if a := start + int32(i); a < 0 || int(a) >= len(base) {
-				return old, &fault.BoundsError{Op: "vload", Lane: i, Index: a, Len: len(base)}
-			}
-		}
-	}
-	return LoadConsecutive(base, start, m, w, old), nil
-}
-
-// StoreConsecutiveChecked is StoreConsecutive with bounds validation; no lane
-// is stored if any active address is out of range.
-func StoreConsecutiveChecked(base []int32, start int32, val Vec, m Mask, w int) error {
-	for i := 0; i < w; i++ {
-		if m.Bit(i) {
-			if a := start + int32(i); a < 0 || int(a) >= len(base) {
-				return &fault.BoundsError{Op: "vstore", Lane: i, Index: a, Len: len(base)}
-			}
-		}
-	}
-	StoreConsecutive(base, start, val, m, w)
-	return nil
 }
 
 // PackedStoreActiveChecked is PackedStoreActive with validation of the packed

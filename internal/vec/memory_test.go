@@ -8,76 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestGatherScatterRoundTrip(t *testing.T) {
-	base := make([]int32, 64)
-	for i := range base {
-		base[i] = int32(i * 10)
-	}
-	idx := FromSlice([]int32{3, 0, 63, 7, 7, 1, 2, 9})
-	old := Splat(-1)
-	got := Gather(base, idx, FullMask(8), 8, old)
-	want := []int32{30, 0, 630, 70, 70, 10, 20, 90}
-	for i, x := range want {
-		if got[i] != x {
-			t.Errorf("Gather lane %d = %d, want %d", i, got[i], x)
-		}
-	}
-	// Inactive lanes keep old value.
-	got = Gather(base, idx, Mask(0).Set(2), 8, old)
-	if got[0] != -1 || got[2] != 630 {
-		t.Errorf("merge-masked gather wrong: %v", got[:4])
-	}
-
-	dst := make([]int32, 64)
-	Scatter(dst, idx, Splat(7), FullMask(8), 8)
-	for _, i := range []int32{3, 0, 63, 7, 1, 2, 9} {
-		if dst[i] != 7 {
-			t.Errorf("Scatter missed index %d", i)
-		}
-	}
-	if dst[4] != 0 {
-		t.Error("Scatter wrote to untargeted index")
-	}
-}
-
-func TestScatterConflictHighestLaneWins(t *testing.T) {
-	dst := make([]int32, 4)
-	idx := FromSlice([]int32{2, 2, 2, 2})
-	val := FromSlice([]int32{10, 11, 12, 13})
-	Scatter(dst, idx, val, FullMask(4), 4)
-	if dst[2] != 13 {
-		t.Errorf("conflict resolution: got %d, want 13 (highest lane)", dst[2])
-	}
-}
-
-func TestGatherScatterF(t *testing.T) {
-	base := []float32{0.5, 1.5, 2.5, 3.5}
-	idx := FromSlice([]int32{2, 0})
-	got := GatherF(base, idx, FullMask(2), 2, SplatF(-1))
-	if got[0] != 2.5 || got[1] != 0.5 {
-		t.Errorf("GatherF = %v", got[:2])
-	}
-	dst := make([]float32, 4)
-	ScatterF(dst, idx, FVec{9.5, 8.5}, FullMask(2), 2)
-	if dst[2] != 9.5 || dst[0] != 8.5 {
-		t.Errorf("ScatterF = %v", dst)
-	}
-}
-
-func TestConsecutiveLoadStore(t *testing.T) {
-	base := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	v := LoadConsecutive(base, 2, FullMask(4), 4, Splat(-1))
-	for i := 0; i < 4; i++ {
-		if v[i] != int32(2+i) {
-			t.Fatalf("LoadConsecutive lane %d = %d", i, v[i])
-		}
-	}
-	StoreConsecutive(base, 5, Splat(99), Mask(0).Set(0).Set(2), 4)
-	if base[5] != 99 || base[6] != 6 || base[7] != 99 || base[8] != 8 {
-		t.Errorf("masked StoreConsecutive = %v", base[5:9])
-	}
-}
-
 func TestPackedStoreActive(t *testing.T) {
 	base := make([]int32, 8)
 	val := FromSlice([]int32{10, 11, 12, 13, 14, 15, 16, 17})
@@ -144,41 +74,6 @@ func TestBroadcastExtractInsert(t *testing.T) {
 	}
 }
 
-func TestGatherPanicsOnActiveOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range active lane")
-		}
-	}()
-	base := make([]int32, 4)
-	Gather(base, Splat(100), FullMask(4), 4, Vec{})
-}
-
-func TestGatherIgnoresInactiveOutOfRange(t *testing.T) {
-	base := make([]int32, 4)
-	idx := FromSlice([]int32{1, 9999, 2, -5})
-	got := Gather(base, idx, Mask(0).Set(0).Set(2), 4, Splat(-7))
-	if got[1] != -7 || got[3] != -7 {
-		t.Errorf("inactive lanes disturbed: %v", got[:4])
-	}
-}
-
-func BenchmarkGather16(b *testing.B) {
-	base := make([]int32, 1<<20)
-	r := rand.New(rand.NewSource(3))
-	idx := randVec(r, 16)
-	for i := 0; i < 16; i++ {
-		idx[i] = int32(uint32(idx[i]) % (1 << 20))
-	}
-	m := FullMask(16)
-	var sink Vec
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink = Gather(base, idx, m, 16, sink)
-	}
-	_ = sink
-}
-
 func BenchmarkBinAdd16(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	x, y := randVec(r, 16), randVec(r, 16)
@@ -193,38 +88,21 @@ func BenchmarkBinAdd16(b *testing.B) {
 
 func TestCheckedOpsAcceptValid(t *testing.T) {
 	base := []int32{10, 20, 30, 40}
-	fbase := []float32{1, 2, 3, 4}
-	idx := FromSlice([]int32{3, 1, 0, 2})
-	if v, err := GatherChecked(base, idx, FullMask(4), 4, Splat(-1)); err != nil || v[0] != 40 {
-		t.Errorf("GatherChecked = %v, %v", v[:4], err)
-	}
-	if v, err := GatherFChecked(fbase, idx, FullMask(4), 4, SplatF(-1)); err != nil || v[0] != 4 {
-		t.Errorf("GatherFChecked = %v, %v", v[:4], err)
-	}
-	if err := ScatterChecked(base, idx, Splat(9), FullMask(4), 4); err != nil {
-		t.Errorf("ScatterChecked: %v", err)
-	}
-	if err := ScatterFChecked(fbase, idx, SplatF(9), FullMask(4), 4); err != nil {
-		t.Errorf("ScatterFChecked: %v", err)
-	}
-	if v, err := LoadConsecutiveChecked(base, 1, FullMask(3), 3, Splat(-1)); err != nil || v[0] != 9 {
-		t.Errorf("LoadConsecutiveChecked = %v, %v", v[:3], err)
-	}
-	if err := StoreConsecutiveChecked(base, 0, Splat(5), FullMask(4), 4); err != nil {
-		t.Errorf("StoreConsecutiveChecked: %v", err)
-	}
-	if n, err := PackedStoreActiveChecked(base, 1, Splat(8), Mask(0b0101), 4); err != nil || n != 2 {
+	n, err := PackedStoreActiveChecked(base, 1, Splat(8), Mask(0b0101), 4)
+	if err != nil || n != 2 {
 		t.Errorf("PackedStoreActiveChecked = %d, %v", n, err)
+	}
+	if base[0] != 10 || base[1] != 8 || base[2] != 8 || base[3] != 40 {
+		t.Errorf("packed store wrote %v", base)
+	}
+	// An empty mask stores nothing, so any start is in range.
+	if n, err := PackedStoreActiveChecked(base, 99, Splat(8), 0, 4); err != nil || n != 0 {
+		t.Errorf("empty packed store = %d, %v", n, err)
 	}
 }
 
 func TestCheckedOpsRejectOutOfRange(t *testing.T) {
-	base := []int32{1, 2, 3, 4}
-	fbase := []float32{1, 2, 3, 4}
-	bad := FromSlice([]int32{0, 1, 99, 2}) // lane 2 out of range
-	neg := FromSlice([]int32{0, -5, 1, 2}) // lane 1 negative
-
-	check := func(name string, err error, wantLane int, wantIdx int32) {
+	check := func(name string, err error, wantIdx int32) {
 		t.Helper()
 		var be *fault.BoundsError
 		if !errors.As(err, &be) {
@@ -233,37 +111,26 @@ func TestCheckedOpsRejectOutOfRange(t *testing.T) {
 		if !errors.Is(err, fault.ErrOutOfBounds) {
 			t.Errorf("%s: does not match ErrOutOfBounds", name)
 		}
-		if be.Lane != wantLane || be.Index != wantIdx || be.Len != 4 {
-			t.Errorf("%s: detail lane=%d idx=%d len=%d, want lane=%d idx=%d len=4",
-				name, be.Lane, be.Index, be.Len, wantLane, wantIdx)
+		if be.Op != "packed-store" || be.Lane != -1 || be.Index != wantIdx || be.Len != 4 {
+			t.Errorf("%s: detail op=%s lane=%d idx=%d len=%d, want packed-store/-1/%d/4",
+				name, be.Op, be.Lane, be.Index, be.Len, wantIdx)
 		}
 	}
-
-	_, err := GatherChecked(base, bad, FullMask(4), 4, Vec{})
-	check("gather", err, 2, 99)
-	_, err = GatherFChecked(fbase, neg, FullMask(4), 4, FVec{})
-	check("gatherF", err, 1, -5)
-	check("scatter", ScatterChecked(base, bad, Splat(0), FullMask(4), 4), 2, 99)
-	check("scatterF", ScatterFChecked(fbase, neg, SplatF(0), FullMask(4), 4), 1, -5)
-	_, err = LoadConsecutiveChecked(base, 2, FullMask(4), 4, Vec{})
-	check("vload", err, 2, 4)
-	check("vstore", StoreConsecutiveChecked(base, -2, Splat(0), FullMask(4), 4), 0, -2)
-	_, err = PackedStoreActiveChecked(base, 2, Splat(0), FullMask(4), 4)
-	if !errors.Is(err, fault.ErrOutOfBounds) {
-		t.Errorf("packed-store: %v", err)
+	base := []int32{1, 2, 3, 4}
+	_, err := PackedStoreActiveChecked(base, 2, Splat(0), FullMask(4), 4)
+	check("past the end", err, 5) // last slot the store would have written
+	_, err = PackedStoreActiveChecked(base, -2, Splat(0), FullMask(2), 4)
+	check("negative start", err, -2)
+	// Only active lanes take a slot: two lanes from slot 2 fit exactly.
+	if n, err := PackedStoreActiveChecked(base, 2, Splat(7), Mask(0b1001), 4); err != nil || n != 2 {
+		t.Errorf("exact-fit packed store = %d, %v", n, err)
 	}
-
-	// Inactive out-of-range lanes are ignored, matching masked hardware
-	// semantics.
-	if _, err := GatherChecked(base, bad, Mask(0b0011), 4, Vec{}); err != nil {
-		t.Errorf("masked-off bad lane rejected: %v", err)
-	}
-	// Scatter rejection must not partially store.
+	// Rejection must not partially store.
 	cp := []int32{1, 2, 3, 4}
-	ScatterChecked(cp, bad, Splat(77), FullMask(4), 4)
+	PackedStoreActiveChecked(cp, 3, Splat(77), FullMask(4), 4)
 	for i, v := range []int32{1, 2, 3, 4} {
 		if cp[i] != v {
-			t.Error("failed scatter stored lanes before the violation")
+			t.Error("failed packed store wrote lanes before the violation")
 		}
 	}
 }

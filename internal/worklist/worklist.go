@@ -96,7 +96,8 @@ func (w *WL) Slice() []int32 { return w.Items.I[:w.Size()] }
 
 // Get gathers items at the given positions for active lanes.
 func (w *WL) Get(tc *spmd.TaskCtx, pos vec.Vec, m vec.Mask, old vec.Vec) vec.Vec {
-	return tc.GatherI(w.Items, pos, m, old, false)
+	tc.GatherIP(w.Items, &pos, m, false, &old)
+	return old
 }
 
 // overflowErr builds the typed error for a failed room check.
@@ -176,7 +177,7 @@ func (w *WL) PushLanes(tc *spmd.TaskCtx, val vec.Vec, m vec.Mask) {
 	}
 	w.checkRoom(tc, n)
 	slots := tc.AtomicAddLanesContended(w.tail, 0, m, true)
-	tc.ScatterI(w.Items, slots, val, m)
+	tc.ScatterIP(w.Items, &slots, &val, m)
 }
 
 // PushCoop pushes active lanes with task-level cooperative conversion:
