@@ -38,7 +38,8 @@ race-parallel:
 # interp-vs-compiled backend differential (random graph/kernel/config draws
 # must stay bit-identical across backends), and the mutation delta log
 # (random op streams through Apply/Compact/WAL round-trip must fold
-# identically and recover from arbitrary truncation).
+# identically and recover from arbitrary truncation), and the cache model's
+# sparse Snapshot/Restore/Reset against a full-copy oracle.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDIMACS$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaLog$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBackendDifferential$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzMemModelSync$$' -fuzztime 10s ./internal/machine
 
 # Wall-clock cooperative-vs-parallel comparison per kernel and graph layout
 # (csr vs forced sell where the layout applies), with allocation stats,

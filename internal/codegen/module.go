@@ -165,13 +165,13 @@ func (m *Module) HasSellPath() bool {
 }
 
 // AttachSell binds a SELL-C-σ layout of the instance's graph so eligible
-// edge loops can take the dense-column path. Call between Bind and Run; the
-// binding participates in checkpoint/restore like every other registered
-// array (it is registered before the first checkpoint cut, so rollbacks
-// never drop it), and ResetAll-based engine reuse simply rebinds on the
-// next Bind/AttachSell pair. Attaching a layout whose C differs from the
-// engine's vector width is allowed but inert: the runtime dispatch falls
-// back to CSR. Passing nil detaches.
+// edge loops can take the dense-column path. Call between Bind and Run: the
+// arrays are then registered before the first checkpoint cut, so a rollback
+// never drops them from the registry (like the CSR bindings they are
+// read-only inputs, and checkpoints do not copy them), and ResetAll-based
+// engine reuse simply rebinds on the next Bind/AttachSell pair. Attaching a
+// layout whose C differs from the engine's vector width is allowed but inert:
+// the runtime dispatch falls back to CSR. Passing nil detaches.
 func (in *Instance) AttachSell(s *graph.SellCS) error {
 	if s == nil {
 		in.sell, in.sellPerm, in.sellDst, in.sellEid, in.sellWt = nil, nil, nil, nil, nil
@@ -322,6 +322,7 @@ func (in *Instance) Run() error {
 	}
 	if rec := in.Recovery; rec != nil {
 		rec.reset()
+		in.E.DropCheckpoint() // a re-run must not roll back into the previous run
 	}
 	var rc resumeCursor
 	for {

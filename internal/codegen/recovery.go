@@ -66,7 +66,6 @@ func (rec *Recovery) maxRollbacks() int {
 
 func (rec *Recovery) reset() {
 	rec.Stats = RecoveryStats{}
-	rec.cp.engine.Invalidate()
 	rec.cp.rollbacks = 0
 	rec.cp.cursor = resumeCursor{}
 	rec.skipCP = false
@@ -101,13 +100,12 @@ type resumeCursor struct {
 	atInner bool       // near-far: checkpoint taken at the inner loop head
 }
 
-// checkpointState is one full recovery point: the engine snapshot plus the
-// codegen-level state the engine cannot see — worklist pair orientation and
-// (growth-replaceable) backing-array pointers, parameter values, and the
-// pipe-control cursor.
+// checkpointState is the codegen half of the recovery point, taken and
+// restored together with the engine's own (spmd.Engine.Checkpoint): the state
+// the engine cannot see — worklist pair orientation and (growth-replaceable)
+// backing-array pointers, parameter values, and the pipe-control cursor. It
+// is meaningful only while the engine holds a checkpoint.
 type checkpointState struct {
-	engine spmd.Checkpoint
-
 	wlIn, wlOut                 *worklist.WL
 	inItems, outItems, farItems *spmd.Array
 
@@ -135,13 +133,13 @@ func (in *Instance) hostCheckpoint(g *loopGuard, cur resumeCursor) error {
 		return nil
 	}
 	if rec.Verify != nil {
-		if err := rec.Verify(&StateView{in: in, prev: rec.prevCP()}); err != nil {
+		if err := rec.Verify(&StateView{in: in}); err != nil {
 			rec.Stats.BadCheckpoints++
 			return err
 		}
 	}
 	cp := &rec.cp
-	in.E.Checkpoint(&cp.engine)
+	in.E.Checkpoint()
 	if in.wl != nil {
 		cp.wlIn, cp.wlOut = in.wl.In, in.wl.Out
 		cp.inItems, cp.outItems = in.wl.In.Items, in.wl.Out.Items
@@ -157,7 +155,7 @@ func (in *Instance) hostCheckpoint(g *loopGuard, cur resumeCursor) error {
 	cp.cursor = cur
 	cp.rollbacks = 0
 	rec.Stats.Checkpoints++
-	in.E.NoteCheckpoint(cp.engine.Iteration())
+	in.E.NoteCheckpoint(in.E.CheckpointIteration())
 	return nil
 }
 
@@ -173,17 +171,10 @@ func (in *Instance) taskCheckpoint(tc *spmd.TaskCtx, g *loopGuard, cur resumeCur
 	}
 }
 
-func (rec *Recovery) prevCP() *spmd.Checkpoint {
-	if rec.cp.engine.Valid() {
-		return &rec.cp.engine
-	}
-	return nil
-}
-
 // canRecover reports whether a rollback may absorb the current failure.
 func (in *Instance) canRecover() bool {
 	rec := in.Recovery
-	return rec != nil && rec.cp.engine.Valid() && rec.cp.rollbacks < rec.maxRollbacks()
+	return rec != nil && in.E.HasCheckpoint() && rec.cp.rollbacks < rec.maxRollbacks()
 }
 
 // rollback rewinds the instance to its last checkpoint: engine state
@@ -193,11 +184,11 @@ func (in *Instance) canRecover() bool {
 func (in *Instance) rollback() resumeCursor {
 	rec := in.Recovery
 	cp := &rec.cp
-	wasted := in.E.TimeCycles() - cp.engine.Cycles()
+	wasted := in.E.TimeCycles() - in.E.CheckpointCycles()
 	rec.Stats.Rollbacks++
 	rec.Stats.WastedCycles += wasted
 	cp.rollbacks++
-	in.E.Restore(&cp.engine)
+	in.E.Restore()
 	if in.wl != nil {
 		in.wl.In, in.wl.Out = cp.wlIn, cp.wlOut
 		in.wl.In.Items = cp.inItems
@@ -246,8 +237,7 @@ func (in *Instance) taskFaultWindow(tc *spmd.TaskCtx, site string) {
 // to invariant validators. It structurally implements kernels.State without
 // importing that package.
 type StateView struct {
-	in   *Instance
-	prev *spmd.Checkpoint
+	in *Instance
 }
 
 // Graph returns the bound graph.
@@ -260,29 +250,23 @@ func (v *StateView) CurI(name string) []int32 { return v.in.ArrayI(name) }
 func (v *StateView) CurF(name string) []float32 { return v.in.ArrayF(name) }
 
 // PrevI returns the named array's contents at the last verified checkpoint,
-// nil when there is no previous checkpoint (validators then skip evolution
+// nil when this run has not taken one yet (validators then skip evolution
 // rules and check ranges only).
 func (v *StateView) PrevI(name string) []int32 {
-	if v.prev == nil {
-		return nil
-	}
 	a := v.in.arrays[name]
 	if a == nil {
 		return nil
 	}
-	return v.prev.ArrayI(a.ID())
+	return v.in.E.CheckpointI(a)
 }
 
 // PrevF is PrevI for float arrays.
 func (v *StateView) PrevF(name string) []float32 {
-	if v.prev == nil {
-		return nil
-	}
 	a := v.in.arrays[name]
 	if a == nil {
 		return nil
 	}
-	return v.prev.ArrayF(a.ID())
+	return v.in.E.CheckpointF(a)
 }
 
 // Frontier returns the pipeline-in worklist size, -1 when the program has no

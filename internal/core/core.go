@@ -212,7 +212,9 @@ type Config struct {
 	// CheckpointEvery, when positive, snapshots engine-visible state at
 	// top-level pipe-loop heads every that many iterations and rolls back to
 	// the last checkpoint on a recoverable typed fault instead of failing the
-	// run. Recovery is ignored when a Pager is attached (residency state is
+	// run. The graph's arrays are inputs, not state: no checkpoint copies
+	// them and no rollback writes them, so g may be shared with concurrent
+	// runs. Recovery is ignored when a Pager is attached (residency state is
 	// not checkpointed). Zero disables checkpointing.
 	CheckpointEvery int
 	// MaxRollbacks bounds re-executions per checkpoint before the fault
@@ -241,12 +243,16 @@ type Config struct {
 	// which amortizes construction across repetitions. Only consulted when
 	// the layout policy selects SELL; mismatched layouts fail AttachSell.
 	Sell *graph.SellCS
-	// Engine, when non-nil and built for the same machine model, is fully
-	// reset (spmd.Engine.ResetAll) and reused for this run instead of
-	// allocating a fresh engine — the request-pool path of the serving
-	// layer. A machine mismatch falls back to a fresh engine. Output arrays
-	// of earlier runs on the engine remain valid snapshots; the reset
-	// guarantees this run can observe nothing of them.
+	// Engine, when non-nil and built for the same machine model, is reset
+	// (spmd.Engine.ResetAll) and reused for this run instead of allocating a
+	// fresh engine — the request-pool path of the serving layer. A machine
+	// mismatch falls back to a fresh engine. The reset costs what the
+	// engine's earlier runs touched, not what the machine model holds, and
+	// the engine keeps the buffers of its recovery point, so this run's
+	// checkpoints (CheckpointEvery) copy into them instead of allocating.
+	// Output arrays of earlier runs on the engine remain valid snapshots;
+	// the reset guarantees this run can observe nothing of them or of the
+	// earlier recovery point.
 	Engine *spmd.Engine
 }
 

@@ -3,12 +3,15 @@ package core
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/codegen"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/kernels"
+	"repro/internal/machine"
+	"repro/internal/spmd"
 )
 
 // recoveryGraph is small enough for many repeated runs but iterates enough
@@ -25,11 +28,23 @@ func recoveryGraph() *graph.CSR {
 // except the recovery counters, which the test requires to be non-zero
 // somewhere in the sweep (so it cannot pass vacuously with injection
 // misconfigured).
+//
+// Each kernel also runs on a reused engine — one that has just served a
+// different kernel on a larger graph, checkpointing and rolling back, with
+// only ResetAll in between, so its recovery point's buffers and the cache
+// model's mirror still hold that run's data. With and without injected
+// rollbacks it must match the fresh engine in outputs, cycles, statistics and
+// the recovery counters.
 func TestRecoveryBitIdentical(t *testing.T) {
 	g0 := recoveryGraph()
+	big0 := graph.Random(900, 6000, 16, 5)
+	m := machine.Intel8()
+	suite := kernels.All()
 	totalRollbacks := 0
-	for _, b := range kernels.All() {
+	for i, b := range suite {
 		g := PrepareGraph(b, g0)
+		other := suite[(i+1)%len(suite)]
+		otherG := PrepareGraph(other, big0)
 		for _, mode := range []HostExec{HostCooperative, HostParallel} {
 			clean, err := Run(b, g, Config{Tasks: 4, HostExec: mode})
 			if err != nil {
@@ -37,17 +52,57 @@ func TestRecoveryBitIdentical(t *testing.T) {
 			}
 			ci, cf := snapshotOutputs(clean)
 
-			rec, err := Run(b, g, Config{
-				Tasks:           4,
-				HostExec:        mode,
-				CheckpointEvery: 1,
-				MaxRollbacks:    200,
-				Inject:          fault.NewInjector(42, fault.Config{Transient: 0.15}),
-			})
+			recovering := func(inject bool) Config {
+				cfg := Config{Machine: m, Tasks: 4, HostExec: mode, CheckpointEvery: 1, MaxRollbacks: 200}
+				if inject {
+					cfg.Inject = fault.NewInjector(42, fault.Config{Transient: 0.15})
+				}
+				return cfg
+			}
+			rec, err := Run(b, g, recovering(true))
 			if err != nil {
 				t.Fatalf("%s mode %d recovering: %v", b.Name, mode, err)
 			}
 			totalRollbacks += rec.Recovery.Rollbacks
+
+			quiet, err := Run(b, g, recovering(false))
+			if err != nil {
+				t.Fatalf("%s mode %d checkpointing: %v", b.Name, mode, err)
+			}
+			pooled := spmd.New(m, m.PreferredTarget, 4)
+			for _, fresh := range []*Result{quiet, rec} {
+				inject := fresh == rec
+				warm := recovering(true)
+				warm.Engine = pooled
+				if _, err := Run(other, otherG, warm); err != nil {
+					t.Fatalf("%s mode %d: warming the engine with %s: %v", b.Name, mode, other.Name, err)
+				}
+				cfg := recovering(inject)
+				cfg.Engine = pooled
+				reused, err := Run(b, g, cfg)
+				if err != nil {
+					t.Fatalf("%s mode %d inject=%v on a reused engine: %v", b.Name, mode, inject, err)
+				}
+				if reused.Engine != pooled {
+					t.Fatalf("%s mode %d: run did not reuse the supplied engine", b.Name, mode)
+				}
+				if fc, rc := fresh.Engine.TimeCycles(), reused.Engine.TimeCycles(); fc != rc || rc != clean.Engine.TimeCycles() {
+					t.Errorf("%s mode %d inject=%v: cycles diverge: fresh %v, reused engine %v, clean %v",
+						b.Name, mode, inject, fc, rc, clean.Engine.TimeCycles())
+				}
+				if !reflect.DeepEqual(fresh.Stats, reused.Stats) {
+					t.Errorf("%s mode %d inject=%v: stats diverge on a reused engine:\nfresh  %+v\nreused %+v",
+						b.Name, mode, inject, fresh.Stats, reused.Stats)
+				}
+				if fresh.Recovery != reused.Recovery {
+					t.Errorf("%s mode %d inject=%v: recovery counters diverge on a reused engine: fresh %+v, reused %+v",
+						b.Name, mode, inject, fresh.Recovery, reused.Recovery)
+				}
+				ri, rf := snapshotOutputs(reused)
+				if !reflect.DeepEqual(ci, ri) || !reflect.DeepEqual(cf, rf) {
+					t.Errorf("%s mode %d inject=%v: outputs on a reused engine diverge from the clean run", b.Name, mode, inject)
+				}
+			}
 
 			if cc, rc := clean.Engine.TimeCycles(), rec.Engine.TimeCycles(); cc != rc {
 				t.Errorf("%s mode %d: modeled cycles diverge: clean %v, recovered %v",
@@ -69,6 +124,68 @@ func TestRecoveryBitIdentical(t *testing.T) {
 	}
 	if totalRollbacks == 0 {
 		t.Error("no rollbacks occurred anywhere in the sweep; injection is not exercising recovery")
+	}
+}
+
+// TestRollbackLeavesSharedGraphUntouched is the regression test for a data
+// race: Engine.Restore used to copy every registered array back on rollback,
+// including graph.rowptr/edgedst/edgewt — slices bound from the caller's CSR,
+// which the serving layer shares, read-only, between all in-flight requests.
+// A rollback in one request was therefore a write under every other request's
+// reads. Here a reader goroutine stands in for the other requests while runs
+// roll back repeatedly; `go test -race` (make race) fails on that write if it
+// ever comes back.
+func TestRollbackLeavesSharedGraphUntouched(t *testing.T) {
+	b, err := kernels.ByName("bfs-wl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Road(32, 32, 16, 1)
+	before := graph.Hash(g)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var sum int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, arr := range [][]int32{g.RowPtr, g.EdgeDst, g.Weight} {
+				for _, v := range arr {
+					sum += int64(v)
+				}
+			}
+		}
+	}()
+
+	rollbacks := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		res, err := Run(b, g, Config{
+			CheckpointEvery: 4,
+			MaxRollbacks:    200,
+			Inject:          fault.NewInjector(seed, fault.Config{Transient: 0.05}),
+		})
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			continue
+		}
+		rollbacks += res.Recovery.Rollbacks
+		if err := Verify(b, g, res); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if rollbacks == 0 {
+		t.Error("no rollbacks occurred; the test is not exercising Restore")
+	}
+	if graph.Hash(g) != before {
+		t.Error("the shared graph changed under rollbacks")
 	}
 }
 

@@ -49,39 +49,55 @@ type Benchmark struct {
 	Reference func(g *graph.CSR, params map[string]int32, src int32) *RunOutput
 }
 
-// All returns the paper's benchmark suite in presentation order (Table VIII).
-func All() []*Benchmark {
-	return []*Benchmark{
-		BFSWL(), BFSCX(), BFSTP(), BFSHB(),
-		SSSPNF(), CC(), TRI(), MIS(), PR(), MST(),
-	}
+// builders lists every benchmark constructor under the name it builds, the
+// paper's suite first in presentation order (Table VIII), then the
+// extensions. It exists so ByName can construct the one benchmark asked for:
+// building an IR program costs a few KB, and the serving layer resolves a
+// name on every request.
+var builders = []struct {
+	name  string
+	build func() *Benchmark
+}{
+	{"bfs-wl", BFSWL}, {"bfs-cx", BFSCX}, {"bfs-tp", BFSTP}, {"bfs-hb", BFSHB},
+	{"sssp-nf", SSSPNF}, {"cc", CC}, {"tri", TRI}, {"mis", MIS}, {"pr", PR}, {"mst", MST},
+	{"kcore", KCore}, {"pr-delta", PRDelta},
 }
+
+// paperSuite is the number of leading builders that are the paper's suite.
+const paperSuite = 10
+
+func buildAll(lo, hi int) []*Benchmark {
+	out := make([]*Benchmark, 0, hi-lo)
+	for _, b := range builders[lo:hi] {
+		out = append(out, b.build())
+	}
+	return out
+}
+
+// All returns the paper's benchmark suite in presentation order (Table VIII).
+func All() []*Benchmark { return buildAll(0, paperSuite) }
 
 // Extensions returns benchmarks added beyond the paper's suite.
-func Extensions() []*Benchmark {
-	return []*Benchmark{KCore(), PRDelta()}
-}
+func Extensions() []*Benchmark { return buildAll(paperSuite, len(builders)) }
 
 // AllWithExtensions returns the paper suite followed by the extensions.
-func AllWithExtensions() []*Benchmark {
-	return append(All(), Extensions()...)
-}
+func AllWithExtensions() []*Benchmark { return buildAll(0, len(builders)) }
 
 // ByName returns the named benchmark (paper suite or extension).
 func ByName(name string) (*Benchmark, error) {
-	for _, b := range AllWithExtensions() {
-		if b.Name == name {
-			return b, nil
+	for _, b := range builders {
+		if b.name == name {
+			return b.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("kernels: unknown benchmark %q", name)
 }
 
-// Names lists benchmark names in order.
+// Names lists the paper suite's benchmark names in order.
 func Names() []string {
-	var out []string
-	for _, b := range All() {
-		out = append(out, b.Name)
+	out := make([]string, paperSuite)
+	for i, b := range builders[:paperSuite] {
+		out[i] = b.name
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -254,5 +256,43 @@ func TestKCoreExtensionRegistered(t *testing.T) {
 	}
 	if _, err := ByName("kcore"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestByNameBuildsOnlyTheRequestedBenchmark pins the registry table (every
+// entry builds the benchmark it is named for, suite order intact, unknown
+// names rejected) and the per-request cost of a lookup: resolving one name
+// allocates what constructing that one benchmark allocates, not the whole
+// suite.
+func TestByNameBuildsOnlyTheRequestedBenchmark(t *testing.T) {
+	want := []string{"bfs-wl", "bfs-cx", "bfs-tp", "bfs-hb", "sssp-nf", "cc", "tri", "mis", "pr", "mst", "kcore", "pr-delta"}
+	all := AllWithExtensions()
+	if len(all) != len(want) {
+		t.Fatalf("AllWithExtensions has %d benchmarks, want %d", len(all), len(want))
+	}
+	for i, b := range all {
+		if b.Name != want[i] || builders[i].name != want[i] {
+			t.Errorf("entry %d: table name %q builds %q, want %q", i, builders[i].name, b.Name, want[i])
+		}
+		got, err := ByName(want[i])
+		if err != nil || got.Name != want[i] {
+			t.Errorf("ByName(%q) = %v, %v", want[i], got, err)
+		}
+	}
+	if got := Names(); !reflect.DeepEqual(got, want[:10]) {
+		t.Errorf("Names() = %v, want the paper suite %v", got, want[:10])
+	}
+	if _, err := ByName("bfs"); err == nil || !strings.Contains(err.Error(), `unknown benchmark "bfs"`) {
+		t.Errorf("ByName(unknown) error = %v", err)
+	}
+
+	lookup := testing.AllocsPerRun(20, func() { _, _ = ByName("bfs-wl") })
+	direct := testing.AllocsPerRun(20, func() { _ = BFSWL() })
+	suite := testing.AllocsPerRun(20, func() { _ = AllWithExtensions() })
+	if lookup != direct {
+		t.Errorf("ByName(bfs-wl) allocates %.0f objects, constructing it directly %.0f", lookup, direct)
+	}
+	if suite < 5*lookup {
+		t.Errorf("whole suite allocates %.0f objects vs %.0f for one lookup: the test no longer distinguishes them", suite, lookup)
 	}
 }

@@ -9,6 +9,24 @@ package machine
 // Direct-mapped tag arrays keep a probe at a handful of nanoseconds so whole
 // benchmark graphs can be simulated. Associativity is deliberately ignored:
 // conflict detail is irrelevant to the paper's shapes.
+//
+// The model holds one recovery point of itself (Snapshot/Restore) and can be
+// emptied for reuse (Reset). Both cost what the run touched, not what the
+// hierarchy contains: every level's tags live in one backing array cut into
+// blocks of blockTags tags, and the miss path — the only writer — records
+// which blocks it wrote. The invariant behind the sparse copies is
+//
+//	a block not on the dirty list holds the same tags in the live array and
+//	in the mirror (an unallocated mirror counts as all-empty), and a block
+//	not on the touched list is empty in both,
+//
+// so Snapshot and Restore need to copy only dirty blocks, and Reset needs to
+// clear only touched ones, to leave exactly the state a full copy or a full
+// clear would. Tracking is armed by the first Snapshot or Reset, which treats
+// every block as written (a full copy or clear, what either always cost
+// before); a model that is built, used and dropped never allocates or
+// records anything for it. When every block is dirty the cost is the full
+// copy again.
 type MemModel struct {
 	cfg *Config
 	l1  []cacheArr // per core
@@ -17,40 +35,62 @@ type MemModel struct {
 
 	lineShift uint
 
+	// tags backs every level's tag array. track is the write record and
+	// the recovery point, nil until the first Snapshot or Reset arms it.
+	tags  []int64
+	track *writeTrack
+
 	// Counters.
 	Hits     [NumLevels]int64
 	Accesses int64
 }
 
-type cacheArr struct {
-	tags []int64
-	mask int64
+// writeTrack is what an armed MemModel keeps beside its tags: state holds the
+// blockDirty/blockTouched bits per block, dirty and touched list the blocks
+// that have each bit set (allocated once at full capacity, so recording a
+// write never allocates), and mirror with the two counters is the recovery
+// point, allocated by the first Snapshot.
+type writeTrack struct {
+	state          []uint8
+	dirty, touched []int32
+	mirror         []int64
+	hits           [NumLevels]int64
+	accesses       int64
 }
 
-func newCacheArr(sizeBytes, lineSize int) cacheArr {
+const (
+	// blockTags is the write-tracking granularity: 64 tags, 512 bytes.
+	blockTags = 64
+
+	blockDirty   = 1 << 0 // written since the last Snapshot, Restore or Reset
+	blockTouched = 1 << 1 // written since the last Reset
+)
+
+// cacheArr is one direct-mapped level: tags is a window of MemModel.tags
+// starting at element base, a power of two long.
+type cacheArr struct {
+	tags []int64
+	base int
+}
+
+// mask is the set-index mask of the level.
+func (c *cacheArr) mask() int64 { return int64(len(c.tags) - 1) }
+
+// cacheSets returns the number of direct-mapped sets of a level: its line
+// count rounded down to a power of two for mask indexing.
+func cacheSets(sizeBytes, lineSize int) int {
 	sets := sizeBytes / lineSize
-	if sets < 1 {
-		sets = 1
-	}
-	// Round down to a power of two for mask indexing.
 	p := 1
 	for p*2 <= sets {
 		p *= 2
 	}
-	tags := make([]int64, p)
+	return p
+}
+
+func fillEmpty(tags []int64) {
 	for i := range tags {
 		tags[i] = -1
 	}
-	return cacheArr{tags: tags, mask: int64(p - 1)}
-}
-
-func (c *cacheArr) probe(lineAddr int64) bool {
-	slot := &c.tags[lineAddr&c.mask]
-	if *slot == lineAddr {
-		return true
-	}
-	*slot = lineAddr
-	return false
 }
 
 // NewMemModel builds a memory model for the given machine.
@@ -62,14 +102,26 @@ func NewMemModel(cfg *Config) *MemModel {
 	}
 	for mm.lineShift = 0; 1<<mm.lineShift < ls; mm.lineShift++ {
 	}
+	n1, n2, n3 := cacheSets(cfg.L1Size, ls), cacheSets(cfg.L2Size, ls), 0
+	if cfg.L3Size > 0 {
+		n3 = cacheSets(cfg.L3Size, ls)
+	}
+	mm.tags = make([]int64, cfg.Cores*(n1+n2)+n3)
+	fillEmpty(mm.tags)
+	next := 0
+	carve := func(sets int) cacheArr {
+		c := cacheArr{tags: mm.tags[next : next+sets : next+sets], base: next}
+		next += sets
+		return c
+	}
 	mm.l1 = make([]cacheArr, cfg.Cores)
 	mm.l2 = make([]cacheArr, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		mm.l1[i] = newCacheArr(cfg.L1Size, ls)
-		mm.l2[i] = newCacheArr(cfg.L2Size, ls)
+		mm.l1[i] = carve(n1)
+		mm.l2[i] = carve(n2)
 	}
-	if cfg.L3Size > 0 {
-		mm.l3 = newCacheArr(cfg.L3Size, ls)
+	if n3 > 0 {
+		mm.l3 = carve(n3)
 	}
 	return mm
 }
@@ -85,7 +137,7 @@ func (mm *MemModel) Access(core int, addr int64) Level {
 	}
 	line := addr >> mm.lineShift
 	c := &mm.l1[core]
-	if c.tags[line&c.mask] == line {
+	if c.tags[line&c.mask()] == line {
 		mm.Hits[L1]++
 		return L1
 	}
@@ -98,95 +150,130 @@ func (mm *MemModel) Access(core int, addr int64) Level {
 // wall-clock. A caller that finds tags[(addr>>LineShift())&mask] == that line
 // must account the hit with RepeatHits(1); any other outcome must go through
 // Access, which re-probes and installs. The returned slice is the live tag
-// store and must be treated as read-only; Restore and Reset rewrite it in
-// place, so views must not be cached across snapshot boundaries.
+// store and is strictly read-only: a write through it would bypass the
+// dirty-block record that Snapshot, Restore and Reset rely on. Those three
+// rewrite the store in place, so a view stays valid across them but the tags
+// it shows change.
 func (mm *MemModel) L1View(core int) ([]int64, int64) {
 	if core >= len(mm.l1) {
 		core %= len(mm.l1)
 	}
 	c := &mm.l1[core]
-	return c.tags, c.mask
+	return c.tags, c.mask()
 }
 
-// accessMiss is Access past an L1 miss: install the line in L1, then walk the
-// outer levels.
+// accessMiss is Access past an L1 miss: walk the levels outward from L1,
+// installing the line in each one that lacks it, up to the level that has it.
+// This is the one place tags are written, and so the one place that, once
+// tracking is armed, records the block it wrote.
 func (mm *MemModel) accessMiss(core int, line int64) Level {
-	c := &mm.l1[core]
-	c.tags[line&c.mask] = line
-	if mm.l2[core].probe(line) {
-		mm.Hits[L2]++
-		return L2
+	t := mm.track
+	lvl := L1
+	for _, c := range [...]*cacheArr{&mm.l1[core], &mm.l2[core], &mm.l3} {
+		if c.tags == nil {
+			lvl = Mem // no L3
+			break
+		}
+		i := line & c.mask()
+		if c.tags[i] == line {
+			break
+		}
+		c.tags[i] = line
+		if t != nil {
+			if b := (c.base + int(i)) / blockTags; t.state[b] != blockDirty|blockTouched {
+				t.mark(b)
+			}
+		}
+		lvl++
 	}
-	if mm.l3.tags != nil && mm.l3.probe(line) {
-		mm.Hits[L3]++
-		return L3
-	}
-	mm.Hits[Mem]++
-	return Mem
+	mm.Hits[lvl]++
+	return lvl
 }
 
-// Reset clears all cache contents and counters.
+func (t *writeTrack) mark(b int) {
+	if t.state[b]&blockDirty == 0 {
+		t.dirty = append(t.dirty, int32(b))
+	}
+	if t.state[b]&blockTouched == 0 {
+		t.touched = append(t.touched, int32(b))
+	}
+	t.state[b] = blockDirty | blockTouched
+}
+
+// armed returns the write record, starting it on first use. What was written
+// before that is unknown, so every block starts out dirty and touched.
+func (mm *MemModel) armed() *writeTrack {
+	if mm.track == nil {
+		n := (len(mm.tags) + blockTags - 1) / blockTags
+		t := &writeTrack{state: make([]uint8, n), dirty: make([]int32, n), touched: make([]int32, n)}
+		for b := range t.state {
+			t.state[b] = blockDirty | blockTouched
+			t.dirty[b] = int32(b)
+			t.touched[b] = int32(b)
+		}
+		mm.track = t
+	}
+	return mm.track
+}
+
+// block returns the window of s (the live tags or the mirror) that block b
+// covers; the last block may be short.
+func block(s []int64, b int32) []int64 {
+	lo := int(b) * blockTags
+	return s[lo:min(lo+blockTags, len(s))]
+}
+
+// Reset clears all cache contents and counters, and empties the recovery
+// point with them: a Restore that follows returns to this empty state.
 func (mm *MemModel) Reset() {
-	for i := range mm.l1 {
-		for j := range mm.l1[i].tags {
-			mm.l1[i].tags[j] = -1
+	t := mm.armed()
+	for _, b := range t.touched {
+		fillEmpty(block(mm.tags, b))
+		if t.mirror != nil {
+			fillEmpty(block(t.mirror, b))
 		}
-		for j := range mm.l2[i].tags {
-			mm.l2[i].tags[j] = -1
-		}
+		t.state[b] = 0
 	}
-	for j := range mm.l3.tags {
-		mm.l3.tags[j] = -1
-	}
-	mm.Hits = [NumLevels]int64{}
-	mm.Accesses = 0
+	t.touched = t.touched[:0]
+	t.dirty = t.dirty[:0]
+	mm.Hits, t.hits = [NumLevels]int64{}, [NumLevels]int64{}
+	mm.Accesses, t.accesses = 0, 0
 }
 
-// MemSnapshot is a reusable deep copy of a MemModel's tag arrays and
-// counters. The checkpoint layer restores it on rollback so the re-executed
-// iterations see exactly the cache state of the original execution —
-// hit/miss sequences, and therefore modeled stall cycles, replay
-// bit-identically. Buffers are reused across Snapshot calls, so steady-state
-// checkpointing allocates nothing.
-type MemSnapshot struct {
-	l1, l2   [][]int64
-	l3       []int64
-	hits     [NumLevels]int64
-	accesses int64
+// Snapshot makes the current tags and counters the model's recovery point,
+// replacing the previous one. The checkpoint layer restores it on rollback so
+// the re-executed iterations see exactly the cache state of the original
+// execution — hit/miss sequences, and therefore modeled stall cycles, replay
+// bit-identically. After the first call it allocates nothing.
+func (mm *MemModel) Snapshot() {
+	t := mm.armed()
+	if t.mirror == nil {
+		// The clean blocks, which the loop below skips, are empty.
+		t.mirror = make([]int64, len(mm.tags))
+		fillEmpty(t.mirror)
+	}
+	for _, b := range t.dirty {
+		copy(block(t.mirror, b), block(mm.tags, b))
+		t.state[b] &^= blockDirty
+	}
+	t.dirty = t.dirty[:0]
+	t.hits, t.accesses = mm.Hits, mm.Accesses
 }
 
-func copyTags(dst *[]int64, src []int64) {
-	if cap(*dst) < len(src) {
-		*dst = make([]int64, len(src))
+// Restore rewinds the hierarchy to the recovery point: the last Snapshot, or
+// the empty state of a Reset that came after it. It panics on a model that
+// has never taken a Snapshot.
+func (mm *MemModel) Restore() {
+	t := mm.track
+	if t == nil || t.mirror == nil {
+		panic("machine: MemModel.Restore without a Snapshot")
 	}
-	*dst = (*dst)[:len(src)]
-	copy(*dst, src)
-}
-
-// Snapshot deep-copies the hierarchy's tags and counters into s.
-func (mm *MemModel) Snapshot(s *MemSnapshot) {
-	if len(s.l1) != len(mm.l1) {
-		s.l1 = make([][]int64, len(mm.l1))
-		s.l2 = make([][]int64, len(mm.l2))
+	for _, b := range t.dirty {
+		copy(block(mm.tags, b), block(t.mirror, b))
+		t.state[b] &^= blockDirty
 	}
-	for i := range mm.l1 {
-		copyTags(&s.l1[i], mm.l1[i].tags)
-		copyTags(&s.l2[i], mm.l2[i].tags)
-	}
-	copyTags(&s.l3, mm.l3.tags)
-	s.hits = mm.Hits
-	s.accesses = mm.Accesses
-}
-
-// Restore rewinds the hierarchy to a previous Snapshot of the same model.
-func (mm *MemModel) Restore(s *MemSnapshot) {
-	for i := range mm.l1 {
-		copy(mm.l1[i].tags, s.l1[i])
-		copy(mm.l2[i].tags, s.l2[i])
-	}
-	copy(mm.l3.tags, s.l3)
-	mm.Hits = s.hits
-	mm.Accesses = s.accesses
+	t.dirty = t.dirty[:0]
+	mm.Hits, mm.Accesses = t.hits, t.accesses
 }
 
 // MemCounters is a value snapshot of the hierarchy's access counters; the

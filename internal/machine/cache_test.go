@@ -19,6 +19,24 @@ func TestMemModelLevels(t *testing.T) {
 	}
 }
 
+func TestMemModelWithoutL3(t *testing.T) {
+	cfg := &Config{Cores: 1, LineSize: 64, L1Size: 4 * 64, L2Size: 16 * 64}
+	mm := NewMemModel(cfg)
+	if lvl := mm.Access(0, 0); lvl != Mem {
+		t.Errorf("cold access = %v, want Mem", lvl)
+	}
+	mm.Access(0, 4*64) // same L1 set, different L2 set: evicts line 0 from L1 only
+	if lvl := mm.Access(0, 0); lvl != L2 {
+		t.Errorf("access after L1 eviction = %v, want L2", lvl)
+	}
+	if lvl := mm.Access(0, 16*64); lvl != Mem {
+		t.Errorf("L2 conflict miss = %v, want Mem (there is no L3)", lvl)
+	}
+	if mm.Hits[L3] != 0 {
+		t.Errorf("a model without L3 counted %d L3 hits", mm.Hits[L3])
+	}
+}
+
 func TestMemModelCapacityEviction(t *testing.T) {
 	cfg := Intel8() // 32 KB L1 = 512 lines
 	mm := NewMemModel(cfg)

@@ -1,17 +1,24 @@
 package spmd
 
-import "repro/internal/machine"
-
-// Checkpoint is a reusable barrier-consistent snapshot of all engine-visible
-// execution state: every registered array (program arrays, graph bindings and
-// worklist storage alike — the dense id-ordered registry), the modeled clocks,
-// statistics, iteration counter, address-space cursor, cache-model tags and
-// the observability baselines. Taking one at a pipe-loop iteration boundary
-// and restoring it later replays the remainder of the run bit-identically.
+// checkpoint is the engine's single recovery point: a barrier-consistent
+// snapshot of all engine-visible execution state that a run can change —
+// every array the engine allocated (program arrays and worklist storage, by
+// dense id), the modeled clocks, statistics, iteration counter, address-space
+// cursor and the observability baselines; the cache-model tags are held by
+// the MemModel's own recovery point, taken and restored with this one. Taking
+// one at a pipe-loop iteration boundary and restoring it later replays the
+// remainder of the run bit-identically.
 //
-// All buffers are reused across Checkpoint calls, so steady-state
-// checkpointing of a fixed array population allocates nothing.
-type Checkpoint struct {
+// Arrays bound to caller-owned slices (BindI/BindF: the graph's CSR and SELL
+// arrays) are left out. Kernels only read them and the injector never targets
+// them, so there is nothing to roll back — and writing them back on Restore
+// would be a write to memory that other engines serving the same graph are
+// reading.
+//
+// The buffers belong to the engine and survive ResetAll, so a pooled engine
+// checkpoints a fixed array population without allocating, from its second
+// run on.
+type checkpoint struct {
 	valid bool
 
 	cycles           float64
@@ -25,10 +32,10 @@ type Checkpoint struct {
 	nPush    int32
 	addrMark int64
 
+	// arrI/arrF are indexed by dense array id; the entry of a bound array,
+	// or of the other element type, has length 0.
 	arrI [][]int32
 	arrF [][]float32
-
-	mem machine.MemSnapshot
 
 	// attrCur/attrN/attrVals snapshot the attribution buckets. Phase
 	// registrations are NOT snapshotted: they are append-only and replayed
@@ -45,34 +52,39 @@ type Checkpoint struct {
 	obsOpen []iterSpan
 }
 
-// Valid reports whether the checkpoint holds a snapshot.
-func (cp *Checkpoint) Valid() bool { return cp != nil && cp.valid }
+// HasCheckpoint reports whether the engine holds a recovery point: Checkpoint
+// has run since New, the last ResetAll and the last DropCheckpoint.
+func (e *Engine) HasCheckpoint() bool { return e.cp != nil && e.cp.valid }
 
-// Invalidate marks the checkpoint empty without releasing its buffers.
-func (cp *Checkpoint) Invalidate() { cp.valid = false }
-
-// Cycles returns the modeled clock at snapshot time.
-func (cp *Checkpoint) Cycles() float64 { return cp.cycles }
-
-// Iteration returns the pipe-loop iteration counter at snapshot time.
-func (cp *Checkpoint) Iteration() int64 { return cp.iter }
-
-// ArrayI returns the snapshotted int32 contents of the array with the given
-// dense id, nil when that array held no int data.
-func (cp *Checkpoint) ArrayI(id int32) []int32 {
-	if id < 0 || int(id) >= len(cp.arrI) || len(cp.arrI[id]) == 0 {
-		return nil
+// DropCheckpoint discards the recovery point, keeping its buffers.
+func (e *Engine) DropCheckpoint() {
+	if e.cp != nil {
+		e.cp.valid = false
 	}
-	return cp.arrI[id]
 }
 
-// ArrayF returns the snapshotted float32 contents of the array with the given
-// dense id, nil when that array held no float data.
-func (cp *Checkpoint) ArrayF(id int32) []float32 {
-	if id < 0 || int(id) >= len(cp.arrF) || len(cp.arrF[id]) == 0 {
+// CheckpointCycles returns the modeled clock at the recovery point.
+func (e *Engine) CheckpointCycles() float64 { return e.cp.cycles }
+
+// CheckpointIteration returns the pipe-loop iteration counter at the recovery
+// point.
+func (e *Engine) CheckpointIteration() int64 { return e.cp.iter }
+
+// CheckpointI returns a's int32 contents at the recovery point; nil when
+// there is none, for a bound array, and when a held no int data.
+func (e *Engine) CheckpointI(a *Array) []int32 {
+	if !e.HasCheckpoint() || int(a.id) >= len(e.cp.arrI) || len(e.cp.arrI[a.id]) == 0 {
 		return nil
 	}
-	return cp.arrF[id]
+	return e.cp.arrI[a.id]
+}
+
+// CheckpointF is CheckpointI for float32 contents.
+func (e *Engine) CheckpointF(a *Array) []float32 {
+	if !e.HasCheckpoint() || int(a.id) >= len(e.cp.arrF) || len(e.cp.arrF[a.id]) == 0 {
+		return nil
+	}
+	return e.cp.arrF[a.id]
 }
 
 func copyI32(dst *[]int32, src []int32) {
@@ -91,12 +103,17 @@ func copyF32(dst *[]float32, src []float32) {
 	copy(*dst, src)
 }
 
-// Checkpoint snapshots the engine into cp. Call only at a pipe-loop iteration
-// boundary (immediately after a barrier): those are consistent cuts in every
-// execution mode — live mode has run every task to the barrier, and the
-// deferred modes mutate shared state only at barrier merges — so a plain
-// read of the arrays races with nothing.
-func (e *Engine) Checkpoint(cp *Checkpoint) {
+// Checkpoint makes the engine's current state its recovery point, replacing
+// the previous one. Call only at a pipe-loop iteration boundary (immediately
+// after a barrier): those are consistent cuts in every execution mode — live
+// mode has run every task to the barrier, and the deferred modes mutate
+// shared state only at barrier merges — so a plain read of the arrays races
+// with nothing.
+func (e *Engine) Checkpoint() {
+	if e.cp == nil {
+		e.cp = new(checkpoint)
+	}
+	cp := e.cp
 	cp.cycles = e.cycles
 	cp.transferNS = e.transferNS
 	cp.faultNS = e.faultNS
@@ -114,11 +131,16 @@ func (e *Engine) Checkpoint(cp *Checkpoint) {
 	cp.arrI = cp.arrI[:len(e.arrays)]
 	cp.arrF = cp.arrF[:len(e.arrays)]
 	for i, a := range e.arrays {
+		if a.bound {
+			// The buffer may hold an earlier run's array of the same id.
+			cp.arrI[i], cp.arrF[i] = cp.arrI[i][:0], cp.arrF[i][:0]
+			continue
+		}
 		copyI32(&cp.arrI[i], a.I)
 		copyF32(&cp.arrF[i], a.F)
 	}
 
-	e.Mem.Snapshot(&cp.mem)
+	e.Mem.Snapshot()
 
 	cp.attrCur = e.attr.cur
 	cp.attrN = len(e.attr.vals)
@@ -138,13 +160,18 @@ func (e *Engine) Checkpoint(cp *Checkpoint) {
 	cp.valid = true
 }
 
-// Restore rewinds the engine to a previous Checkpoint. Arrays registered
-// after the snapshot (e.g. replacements allocated by worklist growth) are
-// dropped from the registry and their synthetic addresses released, so a
-// re-execution that re-allocates them receives identical ids and addresses.
-// Array contents are copied back in place; lengths are unchanged because
-// growth replaces arrays rather than resizing them.
-func (e *Engine) Restore(cp *Checkpoint) {
+// Restore rewinds the engine to its recovery point, which stays in place for
+// further restores. Arrays registered after the snapshot (e.g. replacements
+// allocated by worklist growth) are dropped from the registry and their
+// synthetic addresses released, so a re-execution that re-allocates them
+// receives identical ids and addresses. Array contents are copied back in
+// place; lengths are unchanged because growth replaces arrays rather than
+// resizing them. It panics when HasCheckpoint is false.
+func (e *Engine) Restore() {
+	if !e.HasCheckpoint() {
+		panic("spmd: Engine.Restore without a checkpoint")
+	}
+	cp := e.cp
 	for i := int(cp.nArrays); i < len(e.arrays); i++ {
 		e.arrays[i] = nil
 	}
@@ -154,11 +181,14 @@ func (e *Engine) Restore(cp *Checkpoint) {
 	e.Addr.Rewind(cp.addrMark)
 
 	for i, a := range e.arrays {
+		if a.bound {
+			continue
+		}
 		copy(a.I, cp.arrI[i])
 		copy(a.F, cp.arrF[i])
 	}
 
-	e.Mem.Restore(&cp.mem)
+	e.Mem.Restore()
 
 	// Roll the attribution buckets back and re-derive the clock from them.
 	// The refold reproduces cp.cycles bit-exactly: the restored slots hold

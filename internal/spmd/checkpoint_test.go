@@ -62,10 +62,12 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 			f := e.AllocF("f", 32)
 			chunk(t, e, a, sum, f, 1)
 
-			var cp Checkpoint
-			e.Checkpoint(&cp)
-			if !cp.Valid() {
-				t.Fatal("checkpoint not valid after Checkpoint")
+			if e.HasCheckpoint() {
+				t.Fatal("engine holds a checkpoint before Checkpoint")
+			}
+			e.Checkpoint()
+			if !e.HasCheckpoint() {
+				t.Fatal("engine holds no checkpoint after Checkpoint")
 			}
 
 			if disturb {
@@ -73,7 +75,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 				chunk(t, e, a, sum, f, 9)
 				chunk(t, e, a, sum, f, 5)
 				a.I[3] ^= 1 << 20
-				e.Restore(&cp)
+				e.Restore()
 			}
 			chunk(t, e, a, sum, f, 2)
 			chunk(t, e, a, sum, f, 3)
@@ -94,65 +96,118 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointArrayAccessors covers the dense id-indexed views used by
-// invariant validators for last-checkpoint comparisons.
+// TestCheckpointArrayAccessors covers the per-array views used by invariant
+// validators for last-checkpoint comparisons.
 func TestCheckpointArrayAccessors(t *testing.T) {
 	e := newTestEngine(1)
 	a := e.AllocI("a", 8)
 	f := e.AllocF("f", 4)
+	shared := []int32{7, 8, 9}
+	b := e.BindI("b", shared)
 	for i := range a.I {
 		a.I[i] = int32(i * 3)
 	}
 	for i := range f.F {
 		f.F[i] = float32(i) / 2
 	}
-	var cp Checkpoint
-	if cp.Valid() {
-		t.Error("zero checkpoint reports valid")
+	if e.CheckpointI(a) != nil || e.CheckpointF(f) != nil {
+		t.Error("accessor returned data before any Checkpoint")
 	}
-	e.Checkpoint(&cp)
-	if got := cp.ArrayI(a.ID()); !reflect.DeepEqual(got, a.I) {
-		t.Errorf("ArrayI(%d) = %v, want %v", a.ID(), got, a.I)
+	e.Checkpoint()
+	if got := e.CheckpointI(a); !reflect.DeepEqual(got, a.I) {
+		t.Errorf("CheckpointI(a) = %v, want %v", got, a.I)
 	}
-	if got := cp.ArrayF(f.ID()); !reflect.DeepEqual(got, f.F) {
-		t.Errorf("ArrayF(%d) = %v, want %v", f.ID(), got, f.F)
+	if got := e.CheckpointF(f); !reflect.DeepEqual(got, f.F) {
+		t.Errorf("CheckpointF(f) = %v, want %v", got, f.F)
 	}
-	if cp.ArrayI(f.ID()) != nil || cp.ArrayF(a.ID()) != nil {
+	if e.CheckpointI(f) != nil || e.CheckpointF(a) != nil {
 		t.Error("typed accessor returned data for an array of the other type")
 	}
-	if cp.ArrayI(99) != nil || cp.ArrayI(-1) != nil {
-		t.Error("out-of-range id returned data")
+	if e.CheckpointI(b) != nil {
+		t.Error("accessor returned data for a bound array")
 	}
 	// Snapshot is a copy, not an alias.
 	a.I[0] = 42
-	if cp.ArrayI(a.ID())[0] == 42 {
+	if e.CheckpointI(a)[0] == 42 {
 		t.Error("checkpoint aliases live array storage")
 	}
-	cp.Invalidate()
-	if cp.Valid() {
-		t.Error("checkpoint valid after Invalidate")
+	// Restore rewinds allocated arrays and never writes a bound one.
+	shared[1] = -1
+	e.Restore()
+	if a.I[0] != 0 {
+		t.Errorf("Restore left a.I[0] = %d, want 0", a.I[0])
+	}
+	if shared[1] != -1 {
+		t.Error("Restore wrote to a bound array's caller-owned slice")
+	}
+	e.DropCheckpoint()
+	if e.HasCheckpoint() || e.CheckpointI(a) != nil {
+		t.Error("checkpoint still visible after DropCheckpoint")
+	}
+}
+
+// TestCheckpointSurvivesResetAllAsBuffersOnly pins what a pooled engine
+// carries from one run to the next: ResetAll drops the recovery point (the
+// accessors go nil although the buffers still hold the previous run's data),
+// and an id that was an allocated array last run and is a bound one now
+// reports nil even after the next Checkpoint.
+func TestCheckpointSurvivesResetAllAsBuffersOnly(t *testing.T) {
+	e := newModeEngine(2, ExecDeferred)
+	a := e.AllocI("a", 64)
+	a.FillI(0x41)
+	e.Checkpoint()
+
+	e.ResetAll(vec.TargetAVX512x16, 2)
+	if e.HasCheckpoint() {
+		t.Fatal("recovery point survived ResetAll")
+	}
+	b := e.BindI("b", make([]int32, 64)) // reissues a's id
+	c := e.AllocI("c", 16)
+	if b.ID() != a.ID() {
+		t.Fatalf("dense ids did not restart: b has id %d, a had %d", b.ID(), a.ID())
+	}
+	if e.CheckpointI(b) != nil || e.CheckpointI(c) != nil {
+		t.Fatal("accessor surfaced the previous run's data after ResetAll")
+	}
+	e.Checkpoint()
+	if e.CheckpointI(b) != nil {
+		t.Error("bound array reports checkpoint contents (a stale buffer of the same id)")
+	}
+	if got := e.CheckpointI(c); len(got) != 16 {
+		t.Errorf("CheckpointI(c) has %d elements, want 16", len(got))
 	}
 }
 
 // TestCheckpointSteadyStateAllocationFree pins the hot-path cost contract:
-// once a Checkpoint's buffers have grown to working size, re-checkpointing
-// and restoring allocate nothing, so a checkpointing run's allocation profile
-// matches a non-checkpointing one after the first snapshot.
+// once the recovery point's buffers have grown to working size,
+// re-checkpointing and restoring allocate nothing — so a checkpointing run's
+// allocation profile matches a non-checkpointing one after the first snapshot
+// — and they keep that size across ResetAll: a second run on the engine whose
+// array population fits the first one's allocates nothing from its very first
+// checkpoint.
 func TestCheckpointSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is nondeterministic under the race detector")
 	}
 	e := newModeEngine(2, ExecDeferred)
-	a := e.AllocI("a", 256)
-	f := e.AllocF("f", 256)
-	_ = a
-	_ = f
-	var cp Checkpoint
-	e.Checkpoint(&cp) // warmup: grow all snapshot buffers
+	e.AllocI("a", 256)
+	e.AllocF("f", 256)
+	e.Checkpoint() // warmup: grow all snapshot buffers
 	if allocs := testing.AllocsPerRun(100, func() {
-		e.Checkpoint(&cp)
-		e.Restore(&cp)
+		e.Checkpoint()
+		e.Restore()
 	}); allocs != 0 {
 		t.Errorf("steady-state checkpoint+restore allocates %.1f objects, want 0", allocs)
+	}
+
+	e.ResetAll(vec.TargetAVX512x16, 2)
+	e.BindI("g", make([]int32, 4096)) // bound: needs no buffer at any size
+	e.AllocF("f2", 200)
+	e.AllocI("a2", 100)
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.Checkpoint()
+		e.Restore()
+	}); allocs != 0 {
+		t.Errorf("checkpoint+restore after ResetAll allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -100,10 +100,13 @@ type Engine struct {
 
 	// nArrays/nPush hand out the dense ids that deferred tasks use to
 	// direct-index shadow buffers and push-batch tables. arrays is the
-	// dense id-ordered registry the checkpoint layer snapshots.
+	// dense id-ordered registry the checkpoint layer snapshots; cp is the
+	// recovery point it snapshots into (see checkpoint.go), allocated by the
+	// first Checkpoint so an engine that never takes one pays nothing.
 	nArrays int32
 	nPush   int32
 	arrays  []*Array
+	cp      *checkpoint
 
 	// defPool recycles deferredCtx objects across launches so shadow
 	// buffers, traces, logs and batches keep their capacity for the whole
@@ -242,14 +245,16 @@ func (e *Engine) AllocF(name string, n int) *Array {
 }
 
 // BindI wraps an existing slice (e.g. a CSR row-pointer array) as an Array,
-// assigning it a synthetic address range.
+// assigning it a synthetic address range. The slice stays the caller's:
+// bound arrays are read-only inputs of a run, possibly shared with other
+// engines, and Checkpoint/Restore neither copy nor write them.
 func (e *Engine) BindI(name string, data []int32) *Array {
-	return e.register(&Array{Name: name, I: data, Base: e.Addr.Alloc(int64(len(data)) * 4)})
+	return e.register(&Array{Name: name, I: data, Base: e.Addr.Alloc(int64(len(data)) * 4), bound: true})
 }
 
-// BindF wraps an existing float slice as an Array.
+// BindF is BindI for a float slice.
 func (e *Engine) BindF(name string, data []float32) *Array {
-	return e.register(&Array{Name: name, F: data, Base: e.Addr.Alloc(int64(len(data)) * 4)})
+	return e.register(&Array{Name: name, F: data, Base: e.Addr.Alloc(int64(len(data)) * 4), bound: true})
 }
 
 // RegisterPushTarget hands out the next dense push-target id; worklists call
@@ -300,13 +305,15 @@ func (e *Engine) ResetTime() {
 // ResetTime keeps caches warm for the same bound instance, ResetAll forgets
 // everything a prior run could leak into the next one: the array registry is
 // cleared (dense ids restart at 0 and no prior arrays remain reachable), the
-// synthetic address space and cache tags reset, the clocks, statistics,
-// budget, injector, pager and observability attachments drop, and pooled
-// deferred contexts from earlier runs are invalidated by a generation bump
-// (their shadow and batch tables are keyed by dense ids the new run will
-// reissue). Layout-independent buffer capacity — op logs, access traces,
-// batch item slots, aggregation scratch — is retained, which is the point of
-// pooling the engine at all.
+// synthetic address space resets, the cache tags the prior runs touched are
+// cleared (machine.MemModel.Reset — the rest are still empty), the recovery
+// point is dropped, the clocks, statistics, budget, injector, pager and
+// observability attachments drop, and pooled deferred contexts from earlier
+// runs are invalidated by a generation bump (their shadow and batch tables
+// are keyed by dense ids the new run will reissue). Layout-independent buffer
+// capacity — op logs, access traces, batch item slots, aggregation scratch,
+// the recovery point's array buffers and cache-tag mirror — is retained,
+// which is the point of pooling the engine at all.
 //
 // The machine model is fixed at New; target and tasks are reconfigurable per
 // reuse (tasks <= 0 selects the machine default). Slices handed out by a
@@ -352,6 +359,7 @@ func (e *Engine) ResetAll(target vec.Target, tasks int) {
 	e.arrays = e.arrays[:0]
 	e.nArrays = 0
 	e.nPush = 0
+	e.DropCheckpoint()
 	e.Addr.Reset()
 	e.Mem.Reset()
 	e.gen++

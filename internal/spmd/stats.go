@@ -133,6 +133,8 @@ type Array struct {
 	F    []float32
 	Base int64
 	id   int32
+	// bound marks an array wrapping a caller-owned slice (BindI/BindF).
+	bound bool
 }
 
 // ID returns the dense engine-scoped array id assigned at registration. The
