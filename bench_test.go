@@ -14,11 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/kernels"
-	"repro/internal/machine"
-	"repro/internal/opt"
 )
 
 func benchOpts(b *testing.B) bench.Options {
@@ -179,37 +175,4 @@ func BenchmarkTable9_VirtualMemory(b *testing.B) {
 		}
 		return 0, "gpu/cpu-50%-slowdown"
 	})
-}
-
-// BenchmarkEndToEnd_BFSWL measures the simulator's own throughput running
-// the flagship kernel end to end (host time per simulated run).
-func BenchmarkEndToEnd_BFSWL(b *testing.B) {
-	g := graph.Road(64, 64, 64, 1)
-	bfs, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := g.MaxDegreeNode()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(bfs, g, core.Config{Src: src}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEndToEnd_AllKernels runs the full ten-benchmark suite once per
-// iteration on tiny inputs: a pipeline regression canary.
-func BenchmarkEndToEnd_AllKernels(b *testing.B) {
-	graphs := graph.Suite(graph.ScaleTest, 42)
-	o := opt.All()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bb := range kernels.All() {
-			g := core.PrepareGraph(bb, graphs[1])
-			if _, err := core.Run(bb, g, core.Config{Opts: &o, Machine: machine.Intel8()}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }

@@ -32,7 +32,7 @@ func main() {
 		scale      = flag.String("scale", "small", "input scale: test|small|bench")
 		quick      = flag.Bool("quick", false, "restrict to three benchmarks for a fast pass")
 		backendStr = flag.String("backend", "auto", "kernel backend for simulated runs: auto|interp (modeled numbers are backend-invariant; this only changes regeneration wall time)")
-		layoutStr  = flag.String("layout", "", "comparison arm of the layout experiment: csr|sell|auto (default sell; paper tables always run calibrated csr)")
+		layoutStr  = flag.String("layout", "", "comparison arm of the layout experiment: sell|auto (default sell, and csr also selects sell; paper tables always run calibrated csr)")
 		sellC      = flag.Int("sell-c", 0, "SELL slice height C for the layout experiment (0 = vector width)")
 		sellSigma  = flag.Int("sell-sigma", 0, "SELL degree-sort window σ for the layout experiment (0 = default, negative = whole graph)")
 		seed       = flag.Uint64("seed", 42, "graph generator seed")

@@ -88,8 +88,7 @@ type Options struct {
 	Quick bool
 	// Registry, when set, collects each experiment's headline numbers
 	// (lane utilization, push reductions, geomean speedups) under
-	// "<experiment>/<detail>" names so reports like BENCH_*.json can carry
-	// them next to the wall-clock rows.
+	// "<experiment>/<detail>" names (written by `egacs-bench -metrics`).
 	Registry *obs.Registry
 	// Layout, SellC and SellSigma configure the comparison arm of the
 	// layout experiment (see LayoutExp); the paper-reproduction tables
@@ -169,7 +168,6 @@ func Experiments() []Experiment {
 		{"layout", "graph layouts: CSR vs SELL-C-sigma per kernel and family (extension)", LayoutExp},
 		{"ablation", "design-knob ablations: NP threshold, fiber cap, SSSP delta (extension)", Ablation},
 		{"ext-neon", "ARM NEON target evaluation (the paper's future work, as an extension)", NeonExt},
-		{"mutate", "streaming mutations: update throughput and query latency under sustained mutation (extension)", MutateExp},
 	}
 }
 

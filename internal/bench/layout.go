@@ -19,8 +19,8 @@ func LayoutExp(o Options) []*Table {
 	m := machine.Intel8()
 	w := m.PreferredTarget.Width
 	arm := o.Layout
-	if arm == core.LayoutDefault {
-		arm = core.LayoutSell
+	if arm == core.LayoutCSR {
+		arm = core.LayoutSell // a csr-vs-csr table would compare nothing
 	}
 	t := &Table{
 		ID:    "layout",

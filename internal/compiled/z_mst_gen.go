@@ -1,4 +1,4 @@
-// Code generated by gogen from program "mst" (fingerprint 7ee9152e08e78ae4); DO NOT EDIT.
+// Code generated by gogen from program "mst" (fingerprint 9f5315226aea193e); DO NOT EDIT.
 
 package compiled
 
@@ -10,14 +10,14 @@ import (
 )
 
 func init() {
-	Register("7ee9152e08e78ae4", "reset", 8, k_mst_reset_w8)
-	Register("7ee9152e08e78ae4", "findmin", 8, k_mst_findmin_w8)
-	Register("7ee9152e08e78ae4", "union", 8, k_mst_union_w8)
-	Register("7ee9152e08e78ae4", "compress", 8, k_mst_compress_w8)
-	Register("7ee9152e08e78ae4", "reset", 16, k_mst_reset_w16)
-	Register("7ee9152e08e78ae4", "findmin", 16, k_mst_findmin_w16)
-	Register("7ee9152e08e78ae4", "union", 16, k_mst_union_w16)
-	Register("7ee9152e08e78ae4", "compress", 16, k_mst_compress_w16)
+	Register("9f5315226aea193e", "reset", 8, k_mst_reset_w8)
+	Register("9f5315226aea193e", "findmin", 8, k_mst_findmin_w8)
+	Register("9f5315226aea193e", "union", 8, k_mst_union_w8)
+	Register("9f5315226aea193e", "compress", 8, k_mst_compress_w8)
+	Register("9f5315226aea193e", "reset", 16, k_mst_reset_w16)
+	Register("9f5315226aea193e", "findmin", 16, k_mst_findmin_w16)
+	Register("9f5315226aea193e", "union", 16, k_mst_union_w16)
+	Register("9f5315226aea193e", "compress", 16, k_mst_compress_w16)
 }
 
 // k_mst_reset_w8 is kernel "reset" of program "mst" specialized to width 8.
@@ -73,7 +73,7 @@ func k_mst_reset_w8(b *Binding, tc *spmd.TaskCtx) {
 			chunkBase = base
 			tc.Work(int(cnt))
 			if m0.Any() {
-				t1 := vec.Splat(int32(1073741824))
+				t1 := vec.Splat(int32(2147483647))
 				tc.ScatterIP(a_minedge, &rI0, &t1, m0)
 			}
 		}
@@ -595,7 +595,7 @@ func k_mst_union_w8(b *Binding, tc *spmd.TaskCtx) {
 				tc.Op(vec.ClassCmp, !tm4.All(8))
 				var k6 vec.Mask
 				for i := 0; i < 8; i++ {
-					if tm4.Bit(i) && rI1[i] != int32(1073741824) {
+					if tm4.Bit(i) && rI1[i] != int32(2147483647) {
 						k6 = k6.Set(i)
 					}
 				}
@@ -819,7 +819,7 @@ func k_mst_reset_w16(b *Binding, tc *spmd.TaskCtx) {
 			chunkBase = base
 			tc.Work(int(cnt))
 			if m0.Any() {
-				t1 := vec.Splat(int32(1073741824))
+				t1 := vec.Splat(int32(2147483647))
 				tc.ScatterIP(a_minedge, &rI0, &t1, m0)
 			}
 		}
@@ -1341,7 +1341,7 @@ func k_mst_union_w16(b *Binding, tc *spmd.TaskCtx) {
 				tc.Op(vec.ClassCmp, !tm4.All(16))
 				var k6 vec.Mask
 				for i := 0; i < 16; i++ {
-					if tm4.Bit(i) && rI1[i] != int32(1073741824) {
+					if tm4.Bit(i) && rI1[i] != int32(2147483647) {
 						k6 = k6.Set(i)
 					}
 				}

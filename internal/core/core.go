@@ -61,12 +61,10 @@ const (
 type Layout int
 
 const (
-	// LayoutDefault (the zero value) is CSR — the calibrated paper setup —
-	// so library callers and golden tests see unchanged behavior unless
-	// they opt in.
-	LayoutDefault Layout = iota
-	// LayoutCSR forces the CSR-only build.
-	LayoutCSR
+	// LayoutCSR (the zero value) is the CSR-only build — the calibrated
+	// paper setup — so library callers and golden tests see unchanged
+	// behavior unless they opt in.
+	LayoutCSR Layout = iota
 	// LayoutSell attaches a SELL-C-σ layout whenever the compiled module
 	// has a dense edge-loop path and the benchmark is order-insensitive.
 	LayoutSell
@@ -79,30 +77,26 @@ const (
 // String returns the CLI spelling of the layout knob.
 func (l Layout) String() string {
 	switch l {
-	case LayoutCSR:
-		return "csr"
 	case LayoutSell:
 		return "sell"
 	case LayoutAuto:
 		return "auto"
 	default:
-		return "default"
+		return "csr"
 	}
 }
 
-// ParseLayout parses a -layout flag value.
+// ParseLayout parses a -layout flag value; "default" is an alias of csr.
 func ParseLayout(s string) (Layout, error) {
 	switch s {
-	case "", "default":
-		return LayoutDefault, nil
-	case "csr":
+	case "", "default", "csr":
 		return LayoutCSR, nil
 	case "sell":
 		return LayoutSell, nil
 	case "auto":
 		return LayoutAuto, nil
 	}
-	return LayoutDefault, fmt.Errorf("core: unknown layout %q (want csr, sell or auto)", s)
+	return LayoutCSR, fmt.Errorf("core: unknown layout %q (want csr, sell or auto)", s)
 }
 
 // Backend selects which kernel execution backend runs the program's tasks.
@@ -406,6 +400,11 @@ func Run(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*Result, error) {
 // like RunResilient can account the cost and recovery counters of failed
 // attempts). Compile/bind failures return a nil Result.
 func run(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*Result, error) {
+	if b.Check != nil {
+		if err := b.Check(g); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
 	prog, err := opt.Apply(b.Prog, *cfg.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name, err)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/machine"
@@ -29,8 +32,9 @@ func TestAllBenchmarksAllOptsMatchReference(t *testing.T) {
 		{Fibers: true},
 		opt.All(),
 	}
+	inputs := append(testGraphs(), bridgeGraph(64)) // 64: the generators' max weight
 	for _, b := range kernels.All() {
-		for _, raw := range testGraphs() {
+		for _, raw := range inputs {
 			g := PrepareGraph(b, raw)
 			for _, opts := range optSets {
 				opts := opts
@@ -43,6 +47,41 @@ func TestAllBenchmarksAllOptsMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// bridgeGraph is two 16-node rings joined by one edge of weight w: every
+// spanning tree must take that edge, so mst verifies only if a weight-w edge
+// can win its component's minimum-edge selection.
+func bridgeGraph(w int32) *graph.CSR {
+	const ring = 16
+	var edges []graph.Edge
+	for side := int32(0); side < 2; side++ {
+		for i := int32(0); i < ring; i++ {
+			u, v := side*ring+i, side*ring+(i+1)%ring
+			edges = append(edges, graph.Edge{Src: u, Dst: v, W: 1 + (i*7)%13})
+		}
+	}
+	edges = append(edges, graph.Edge{Src: 0, Dst: ring, W: w})
+	g, err := graph.FromEdges(2*ring, edges, true)
+	if err != nil {
+		panic(err)
+	}
+	g.Name = fmt.Sprintf("bridge-w%d", w)
+	return g
+}
+
+// TestMSTKeyRange pins mst's input contract: the widest weight whose packed
+// weight|edge key stays below the no-edge sentinel verifies, and one more is
+// a typed ErrUnsupportedInput from Run instead of a wrong answer.
+func TestMSTKeyRange(t *testing.T) {
+	mst := mustKernel(t, "mst")
+	if _, err := RunVerified(mst, PrepareGraph(mst, bridgeGraph(127)), Config{Tasks: 4}); err != nil {
+		t.Fatalf("weight 127: %v", err)
+	}
+	_, err := Run(mst, PrepareGraph(mst, bridgeGraph(128)), Config{Tasks: 4})
+	if !errors.Is(err, fault.ErrUnsupportedInput) {
+		t.Fatalf("weight 128: err = %v, want ErrUnsupportedInput", err)
 	}
 }
 

@@ -49,6 +49,10 @@ var (
 	// expected signature of a crash mid-append and is repaired by
 	// truncation, not reported as corruption.
 	ErrWALCorrupt = fmt.Errorf("corrupt write-ahead log")
+	// ErrUnsupportedInput: a well-formed input lies outside a kernel's
+	// supported range (e.g. an mst edge whose packed weight|edge selection
+	// key would reach the sentinel). Re-running cannot help.
+	ErrUnsupportedInput = fmt.Errorf("unsupported input")
 )
 
 // Recoverable reports whether a checkpointed run may retry the failed

@@ -79,7 +79,7 @@ func InvariantFor(name string) Invariant {
 			if err := checkMonotoneDown(name, "comp-monotone", "comp", s.CurI("comp"), s.PrevI("comp")); err != nil {
 				return err
 			}
-			// minedge is excluded: it is reset to Inf every round, so it has
+			// minedge is excluded: it is reset to mstNone every round, so it has
 			// no cross-checkpoint evolution rule.
 			cur := s.CurI("mstwt")
 			if len(cur) > 0 && cur[0] < 0 {

@@ -39,6 +39,9 @@ type Benchmark struct {
 	// only to these; frontier-driven and convergence-order-sensitive
 	// kernels keep CSR (forcing -layout=sell still overrides).
 	DenseSweep bool
+	// Check, when set, rejects a prepared input the program cannot handle
+	// with a fault.ErrUnsupportedInput; core.Run calls it before compiling.
+	Check func(g *graph.CSR) error
 	// Params returns input-specific parameter defaults (e.g. SSSP delta).
 	Params func(g *graph.CSR) map[string]int32
 	// Verify checks outputs (by bound array) against the serial reference.

@@ -2,17 +2,36 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
 // mstEdgeBits encodes a (weight, edge-index) pair as weight<<24 | edge so a
 // single AtomicMin selects each component's minimum outgoing edge with a
-// deterministic tie-break. Requires weight < 64 (the generators' bound) and
-// fewer than 2^24 directed edges.
-const mstEdgeBits = 24
+// deterministic tie-break. mstNone, the "no outgoing edge" sentinel, sits
+// above every key mstKeysFit admits.
+const (
+	mstEdgeBits       = 24
+	mstNone     int32 = math.MaxInt32
+)
+
+// mstKeysFit reports, as a fault.ErrUnsupportedInput, an input whose packed
+// keys the selection cannot order: a negative weight, an edge index past the
+// 24-bit field, or a key that reaches mstNone.
+func mstKeysFit(g *graph.CSR) error {
+	for e := int32(0); e < g.NumEdges(); e++ {
+		w := int64(g.EdgeWeight(e))
+		if w < 0 || e >= 1<<mstEdgeBits || w<<mstEdgeBits|int64(e) >= int64(mstNone) {
+			return fmt.Errorf("mst: edge %d (weight %d) does not fit the weight<<%d|edge selection key: %w",
+				e, w, mstEdgeBits, fault.ErrUnsupportedInput)
+		}
+	}
+	return nil
+}
 
 // MST is Boruvka's minimum spanning forest: every round each component
 // selects its minimum-weight outgoing edge (atomic min over an encoded
@@ -21,7 +40,7 @@ const mstEdgeBits = 24
 // labels. The total forest weight accumulates in "mstwt". Requires a
 // symmetrized input.
 func MST() *Benchmark {
-	inf := Inf
+	inf := mstNone
 	prog := &ir.Program{
 		Name: "mst",
 		Arrays: []ir.ArrayDecl{
@@ -99,6 +118,7 @@ func MST() *Benchmark {
 		Prog:           prog,
 		NeedsSymmetric: true,
 		DenseSweep:     true,
+		Check:          mstKeysFit,
 		Reference: func(g *graph.CSR, _ map[string]int32, _ int32) *RunOutput {
 			return &RunOutput{I: map[string][]int32{
 				"mstwt": {RefMST(g)},

@@ -1,23 +1,26 @@
 package perfhist
 
 import (
+	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 )
 
-// TestBenchDiff is the drift-free regression gate behind `make bench-diff`:
-// load every committed BENCH_*.json, print the trajectory, re-measure the
-// deterministic series (modeled cycles with per-class attribution,
-// allocs/op) from the working tree, and fail on any >2% regression against
-// the last accepted report that BENCH_ALLOWLIST.json does not waive.
+// TestBenchDiff is the drift-free regression gate behind `make bench-diff`
+// and the writer behind `make bench`: load and validate every committed
+// BENCH_*.json, print the trajectory, re-measure the deterministic series
+// (modeled cycles with per-class attribution, allocs/op) from the working
+// tree, and fail on any >2% regression against the last accepted report that
+// BENCH_ALLOWLIST.json does not waive. With BENCH_OUT set, the measurement is
+// written there as the next report — only once the gate has passed.
 //
 // Because the modeled series are bit-reproducible, an unchanged tree passes
-// on any machine — no runner calibration, no flaky tolerance games. The
-// allocs/op gate is skipped (loudly) when the baseline was written by a
-// different Go toolchain, since allocation counts are a property of the
-// compiler as much as of this repo's code.
+// on any machine. The allocs/op gate is skipped (loudly) when the baseline
+// was written by a different Go toolchain, since allocation counts are a
+// property of the compiler as much as of this repo's code.
 func TestBenchDiff(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	hist, err := Load(root)
@@ -26,11 +29,11 @@ func TestBenchDiff(t *testing.T) {
 	}
 	latest := hist.Latest()
 	if latest == nil {
-		t.Fatal("no host-execution bench reports found at the repo root")
+		t.Fatal("no bench reports found at the repo root")
 	}
 	var buf strings.Builder
 	hist.WriteTrajectory(&buf)
-	t.Logf("performance trajectory (%d reports):\n%s", len(hist.Reports), buf.String())
+	t.Logf("performance trajectory (%d reports, all valid):\n%s", len(hist.Reports), buf.String())
 
 	if latest.SchemaVersion < 2 {
 		t.Fatalf("latest report %s has schema_version %d; the gate needs the v2 cycle_attribution columns — run `make bench`",
@@ -40,7 +43,7 @@ func TestBenchDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, err := MeasureHead(latest)
+	head, err := MeasureHead()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,31 @@ func TestBenchDiff(t *testing.T) {
 		opts.SkipAllocs = true
 		t.Log("allocs/op gate skipped: race-detector instrumentation allocates")
 	}
+	same, allocDelta := 0, 0.0
+	for key, b := range latest.Rows {
+		h := head.Rows[key]
+		if h.ModeledCycles == b.ModeledCycles {
+			same++
+		}
+		allocDelta = math.Max(allocDelta, math.Abs(h.CoopAllocsOp-b.CoopAllocsOp))
+	}
+	t.Logf("vs %s: modeled_cycles bit-identical on %d of %d rows; allocs/op within %.1f",
+		filepath.Base(latest.Path), same, len(latest.Rows), allocDelta)
 	for _, r := range Compare(latest, head, allow, opts) {
 		t.Errorf("regression vs %s: %s", filepath.Base(latest.Path), r)
+	}
+
+	out := os.Getenv("BENCH_OUT")
+	switch {
+	case out == "":
+	case t.Failed():
+		t.Logf("BENCH_OUT: %s not written, the gate failed", out)
+	case raceEnabled:
+		t.Fatalf("BENCH_OUT: refusing to record race-instrumented allocation counts in %s", out)
+	default:
+		if err := head.Write(out); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d rows)", out, len(head.Rows))
 	}
 }

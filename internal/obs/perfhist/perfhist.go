@@ -1,18 +1,15 @@
-// Package perfhist turns the repo's committed BENCH_*.json reports into a
-// performance trajectory and a drift-free regression gate.
+// Package perfhist owns the repo's committed performance record, the
+// BENCH_*.json reports: it is the only code that reads or writes their
+// format. Every report holds deterministic series only — modeled cycles with
+// their per-cost-class attribution, cooperative allocs/op and lane
+// utilization — which are properties of the code alone and reproduce on any
+// machine, so a change between two reports is a real change in the program.
+// Host wall-clock time is measured by the separate benchmark/ module, not
+// here.
 //
-// The central idea: the reports mix two kinds of series. Deterministic
-// series — modeled cycles (and their per-cost-class attribution), allocs/op,
-// lane utilization, L1 hit rate — are properties of the code alone and are
-// bit-reproducible on any machine, so a change between two reports is a real
-// change in the program. Wall-clock series (ns/op) additionally embed the
-// speed of whatever runner happened to execute `make bench` that day, so
-// comparing them raw across reports measures the hardware as much as the
-// code. perfhist separates the two: it gates regressions ONLY on
-// deterministic series, and it normalizes wall series by a per-report drift
-// anchor — the geomean ns-per-modeled-cycle over the rows two reports share —
-// which quantifies runner drift and makes the normalized wall trajectory
-// meaningful across runners.
+// MeasureHead produces a report from the working tree, Write stores it, Load
+// parses and validates every committed report, WriteTrajectory renders the
+// history and Compare gates a new measurement against the last accepted one.
 package perfhist
 
 import (
@@ -24,51 +21,84 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"time"
+
+	"repro/internal/obs"
 )
 
-// Row is one kernel/layout point of one report: the deterministic series
-// plus the raw wall-clock columns.
+// SchemaVersion is the version Write stamps on new reports. Version 2 added
+// the per-row cycle_attribution map, version 3 a wall-clock mutation section;
+// version 4 reports carry the deterministic series only. Reports written
+// before versioning carry no schema_version and parse as legacy.
+const SchemaVersion = 4
+
+// Row is one kernel/layout point of one report.
 type Row struct {
-	Kernel        string
-	Layout        string
-	ModeledCycles float64
-	CoopWallNsOp  float64
-	ParWallNsOp   float64
-	CoopAllocsOp  float64
-	ParAllocsOp   float64
-	LaneUtil      float64
-	L1HitRate     float64
-	// Attribution holds the per-cost-class modeled-cycle totals (schema v2
-	// reports; nil before that).
-	Attribution map[string]float64
+	Kernel        string  `json:"kernel"`
+	Layout        string  `json:"layout"`
+	ModeledCycles float64 `json:"modeled_cycles"`
+	CoopAllocsOp  float64 `json:"cooperative_allocs_per_op"`
+	LaneUtil      float64 `json:"lane_utilization"`
+	// Attribution holds the per-cost-class modeled-cycle totals; it re-folds
+	// to ModeledCycles bit-exactly (schema v2 on; nil before that).
+	Attribution map[string]float64 `json:"cycle_attribution,omitempty"`
 }
 
 // Key is the row's identity across reports.
 func (r *Row) Key() string { return r.Kernel + "/" + r.Layout }
 
-// Report is one parsed BENCH_N.json host-execution report.
+// Report is one parsed BENCH_N.json.
 type Report struct {
 	Seq           int
 	Path          string
 	SchemaVersion int
-	Generated     string
 	GoVersion     string
+	Graph         string
 	Rows          map[string]Row
 }
 
-// History is the ordered sequence of host-execution reports found in a
-// directory, plus the BENCH files skipped because they follow another schema
-// (e.g. the serve-load latency report).
+// document is the on-disk shape of a report. Fields of older schemas (the
+// wall-clock columns) are ignored on read.
+type document struct {
+	SchemaVersion int    `json:"schema_version,omitempty"`
+	Generated     string `json:"generated"`
+	GoVersion     string `json:"go_version"`
+	Graph         string `json:"graph,omitempty"`
+	Kernels       []Row  `json:"kernels"`
+}
+
+// Write stores r as a schema-version-SchemaVersion report, rows sorted by key.
+func (r *Report) Write(path string) error {
+	doc := document{
+		SchemaVersion: SchemaVersion,
+		Generated:     time.Now().UTC().Format(time.RFC3339),
+		GoVersion:     r.GoVersion,
+		Graph:         r.Graph,
+	}
+	for _, row := range r.Rows {
+		doc.Kernels = append(doc.Kernels, row)
+	}
+	sort.Slice(doc.Kernels, func(i, j int) bool { return doc.Kernels[i].Key() < doc.Kernels[j].Key() })
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return fmt.Errorf("perfhist: %w", err)
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		return fmt.Errorf("perfhist: %w", err)
+	}
+	return nil
+}
+
+// History is the ordered sequence of reports found in a directory.
 type History struct {
 	Reports []Report
-	Skipped []string
 }
 
 var benchFileRE = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
-// Load reads every BENCH_<n>.json in dir, in ascending n. Files without a
-// kernels array are recorded in Skipped, not errors: the BENCH_ prefix is
-// shared with other report families.
+// Load reads and validates every BENCH_<n>.json in dir, in ascending n. A
+// file that fails validation fails the load: the record is only as
+// trustworthy as its worst report.
 func Load(dir string) (*History, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -80,82 +110,101 @@ func Load(dir string) (*History, error) {
 		if m == nil {
 			continue
 		}
-		seq := 0
-		fmt.Sscanf(m[1], "%d", &seq)
 		path := filepath.Join(dir, e.Name())
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("perfhist: %w", err)
 		}
-		rep, ok, err := parseReport(raw)
+		rep, err := parseReport(raw)
 		if err != nil {
 			return nil, fmt.Errorf("perfhist: %s: %w", e.Name(), err)
 		}
-		if !ok {
-			h.Skipped = append(h.Skipped, e.Name())
-			continue
-		}
-		rep.Seq = seq
+		fmt.Sscanf(m[1], "%d", &rep.Seq)
 		rep.Path = path
 		h.Reports = append(h.Reports, rep)
 	}
 	sort.Slice(h.Reports, func(i, j int) bool { return h.Reports[i].Seq < h.Reports[j].Seq })
-	sort.Strings(h.Skipped)
 	return h, nil
 }
 
-// parseReport decodes one report; ok=false when the file is valid JSON but
-// not a host-execution report (no kernels array).
-func parseReport(raw []byte) (Report, bool, error) {
-	var doc struct {
-		SchemaVersion int    `json:"schema_version"`
-		Generated     string `json:"generated"`
-		GoVersion     string `json:"go_version"`
-		Kernels       []struct {
-			Kernel           string             `json:"kernel"`
-			Layout           string             `json:"layout"`
-			ModeledCycles    float64            `json:"modeled_cycles"`
-			CoopWallNsOp     float64            `json:"cooperative_wall_ns_per_op"`
-			ParWallNsOp      float64            `json:"parallel_wall_ns_per_op"`
-			CoopAllocsOp     float64            `json:"cooperative_allocs_per_op"`
-			ParAllocsOp      float64            `json:"parallel_allocs_per_op"`
-			LaneUtil         float64            `json:"lane_utilization"`
-			L1HitRate        float64            `json:"l1_hit_rate"`
-			CycleAttribution map[string]float64 `json:"cycle_attribution"`
-		} `json:"kernels"`
-	}
+// parseReport decodes and validates one report: a known schema version, a
+// toolchain, at least one row, unique kernel/layout rows with a known layout
+// and positive modeled cycles, and — from schema v2 on — a cycle_attribution
+// map per row whose known, non-negative classes re-fold to modeled_cycles
+// bit-exactly (no epsilon: both sides are folds of the same buckets, and
+// encoding/json round-trips float64 exactly).
+func parseReport(raw []byte) (Report, error) {
+	var doc document
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return Report{}, false, err
+		return Report{}, err
+	}
+	if doc.SchemaVersion < 0 || doc.SchemaVersion > SchemaVersion {
+		return Report{}, fmt.Errorf("unknown schema_version %d (this build understands <= %d)",
+			doc.SchemaVersion, SchemaVersion)
+	}
+	if doc.GoVersion == "" {
+		return Report{}, fmt.Errorf("missing go_version")
 	}
 	if len(doc.Kernels) == 0 {
-		return Report{}, false, nil
+		return Report{}, fmt.Errorf("no kernel rows")
 	}
 	rep := Report{
 		SchemaVersion: doc.SchemaVersion,
-		Generated:     doc.Generated,
 		GoVersion:     doc.GoVersion,
+		Graph:         doc.Graph,
 		Rows:          make(map[string]Row, len(doc.Kernels)),
 	}
-	for _, k := range doc.Kernels {
-		lay := k.Layout
-		if lay == "" {
-			lay = "csr" // pre-layout reports carry no tag
+	for _, row := range doc.Kernels {
+		if row.Kernel == "" {
+			return Report{}, fmt.Errorf("row without a kernel name")
 		}
-		row := Row{
-			Kernel:        k.Kernel,
-			Layout:        lay,
-			ModeledCycles: k.ModeledCycles,
-			CoopWallNsOp:  k.CoopWallNsOp,
-			ParWallNsOp:   k.ParWallNsOp,
-			CoopAllocsOp:  k.CoopAllocsOp,
-			ParAllocsOp:   k.ParAllocsOp,
-			LaneUtil:      k.LaneUtil,
-			L1HitRate:     k.L1HitRate,
-			Attribution:   k.CycleAttribution,
+		switch row.Layout {
+		case "":
+			row.Layout = "csr" // pre-layout reports carry no tag
+		case "csr", "sell":
+		default:
+			return Report{}, fmt.Errorf("%s: unknown layout %q", row.Kernel, row.Layout)
 		}
-		rep.Rows[row.Key()] = row
+		key := row.Key()
+		if _, dup := rep.Rows[key]; dup {
+			return Report{}, fmt.Errorf("duplicate row for %s", key)
+		}
+		if row.ModeledCycles <= 0 {
+			return Report{}, fmt.Errorf("%s: modeled_cycles = %v, want > 0", key, row.ModeledCycles)
+		}
+		if err := checkAttribution(key, doc.SchemaVersion, &row); err != nil {
+			return Report{}, err
+		}
+		rep.Rows[key] = row
 	}
-	return rep, true, nil
+	return rep, nil
+}
+
+// checkAttribution validates one row's cycle_attribution against the
+// report's schema version.
+func checkAttribution(key string, version int, row *Row) error {
+	if version < 2 {
+		if len(row.Attribution) != 0 {
+			return fmt.Errorf("%s: cycle_attribution present but schema_version %d predates it", key, version)
+		}
+		return nil
+	}
+	if len(row.Attribution) == 0 {
+		return fmt.Errorf("%s: schema_version %d row missing cycle_attribution", key, version)
+	}
+	for name, v := range row.Attribution {
+		if _, ok := obs.ParseCostClass(name); !ok {
+			return fmt.Errorf("%s: unknown cost class %q in cycle_attribution", key, name)
+		}
+		if v < 0 {
+			return fmt.Errorf("%s: cycle_attribution[%q] = %v, want >= 0", key, name, v)
+		}
+	}
+	if got := obs.SumClassMap(row.Attribution); got != row.ModeledCycles {
+		return fmt.Errorf("%s: cycle_attribution sums to %v, modeled_cycles = %v (must match bit-exactly)",
+			key, got, row.ModeledCycles)
+	}
+	return nil
 }
 
 // Latest returns the highest-numbered report, nil on an empty history.
@@ -166,33 +215,10 @@ func (h *History) Latest() *Report {
 	return &h.Reports[len(h.Reports)-1]
 }
 
-// anchor is the drift anchor between two reports: the geomean, over the rows
-// both carry with timed cooperative columns, of ns-per-modeled-cycle in cur
-// divided by ns-per-modeled-cycle in prev. Modeled cycles cancel per row
-// when the code is unchanged, so the anchor isolates runner speed; when the
-// code did change, it still measures relative runner throughput because the
-// modeled clock moves with the real work. Returns 0 when no row is shared.
-func anchor(prev, cur *Report) float64 {
-	prod, n := 1.0, 0
-	for key, c := range cur.Rows {
-		p, ok := prev.Rows[key]
-		if !ok || p.CoopWallNsOp <= 0 || c.CoopWallNsOp <= 0 ||
-			p.ModeledCycles <= 0 || c.ModeledCycles <= 0 {
-			continue
-		}
-		prod *= (c.CoopWallNsOp / c.ModeledCycles) / (p.CoopWallNsOp / p.ModeledCycles)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Pow(prod, 1/float64(n))
-}
-
-// geomeanRatio folds the per-row cur/prev ratio of one deterministic series
-// over the shared rows. sel extracts the series; rows where either side is
+// geomeanRatio folds the per-row cur/prev ratio of one series over the
+// shared rows. sel extracts the series; rows where either side is
 // non-positive are skipped.
-func geomeanRatio(prev, cur *Report, sel func(*Row) float64) (float64, int) {
+func geomeanRatio(prev, cur *Report, sel func(*Row) float64) float64 {
 	prod, n := 1.0, 0
 	for key, c := range cur.Rows {
 		p, ok := prev.Rows[key]
@@ -207,41 +233,25 @@ func geomeanRatio(prev, cur *Report, sel func(*Row) float64) (float64, int) {
 		n++
 	}
 	if n == 0 {
-		return 0, 0
+		return 0
 	}
-	return math.Pow(prod, 1/float64(n)), n
+	return math.Pow(prod, 1/float64(n))
 }
 
 // WriteTrajectory renders the history as a table: one line per report with
-// its deterministic-series geomean ratios against the previous report, the
-// runner-drift anchor, and the drift-normalized wall ratio (wall ratio ÷
-// anchor — what the wall trend looks like after the runner is factored out).
+// the geomean change of modeled cycles and allocs/op against the previous
+// report over the rows both carry.
 func (h *History) WriteTrajectory(w io.Writer) {
-	fmt.Fprintf(w, "%-14s %-10s %5s %9s %9s %9s %9s %9s\n",
-		"report", "go", "rows", "cycles", "allocs", "wall-raw", "drift", "wall-norm")
+	fmt.Fprintf(w, "%-14s %-10s %5s %9s %9s\n", "report", "go", "rows", "cycles", "allocs")
 	for i := range h.Reports {
 		r := &h.Reports[i]
-		if i == 0 {
-			fmt.Fprintf(w, "%-14s %-10s %5d %9s %9s %9s %9s %9s\n",
-				filepath.Base(r.Path), r.GoVersion, len(r.Rows),
-				"-", "-", "-", "-", "-")
-			continue
+		cyc, al := "-", "-"
+		if i > 0 {
+			prev := &h.Reports[i-1]
+			cyc = ratioStr(geomeanRatio(prev, r, func(x *Row) float64 { return x.ModeledCycles }))
+			al = ratioStr(geomeanRatio(prev, r, func(x *Row) float64 { return x.CoopAllocsOp }))
 		}
-		prev := &h.Reports[i-1]
-		cyc, _ := geomeanRatio(prev, r, func(x *Row) float64 { return x.ModeledCycles })
-		al, _ := geomeanRatio(prev, r, func(x *Row) float64 { return x.CoopAllocsOp })
-		wall, _ := geomeanRatio(prev, r, func(x *Row) float64 { return x.CoopWallNsOp })
-		drift := anchor(prev, r)
-		norm := 0.0
-		if drift > 0 && wall > 0 {
-			norm = wall / drift
-		}
-		fmt.Fprintf(w, "%-14s %-10s %5d %9s %9s %9s %9s %9s\n",
-			filepath.Base(r.Path), r.GoVersion, len(r.Rows),
-			ratioStr(cyc), ratioStr(al), ratioStr(wall), ratioStr(drift), ratioStr(norm))
-	}
-	if len(h.Skipped) > 0 {
-		fmt.Fprintf(w, "skipped (other schema): %v\n", h.Skipped)
+		fmt.Fprintf(w, "%-14s %-10s %5d %9s %9s\n", filepath.Base(r.Path), r.GoVersion, len(r.Rows), cyc, al)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 // Registry is a concurrency-safe store of named scalar observations. The
 // bench harness threads one through its experiments so headline numbers
-// (lane utilization, atomic-push reductions, geomean speedups) land in the
-// BENCH_*.json reports next to the wall-clock rows instead of only in tables
-// printed to stdout.
+// (lane utilization, atomic-push reductions, geomean speedups) land in a
+// machine-readable JSONL file (`egacs-bench -metrics`) instead of only in
+// tables printed to stdout.
 type Registry struct {
 	mu   sync.Mutex
 	vals map[string]float64

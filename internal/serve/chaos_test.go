@@ -79,8 +79,6 @@ func (l *loadStats) percentile(p float64) float64 {
 //     reference here, on top of the server's own verification,
 //   - overload surfaces as 429/503 backpressure, not hangs or 500s,
 //   - after the storm the server drains gracefully.
-//
-// With BENCH_SERVE_OUT set, QPS and latency percentiles are written as JSON.
 func TestChaosLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos load is not short")
@@ -311,25 +309,6 @@ func TestChaosLoad(t *testing.T) {
 		total, served.Load(), qps, p50, p99, stats.statuses, stats.classes)
 	if math.IsNaN(qps) || p99 < p50 {
 		t.Fatalf("nonsense latency aggregates: qps=%v p50=%v p99=%v", qps, p50, p99)
-	}
-
-	if out := os.Getenv("BENCH_SERVE_OUT"); out != "" {
-		rep := map[string]any{
-			"clients":    clients,
-			"requests":   total,
-			"served":     served.Load(),
-			"qps":        qps,
-			"p50_ms":     p50,
-			"p99_ms":     p99,
-			"statuses":   stats.statuses,
-			"classes":    stats.classes,
-			"elapsed_ms": float64(elapsed.Microseconds()) / 1e3,
-			"inject":     "bitflip=0.002 transient=0.002",
-		}
-		data, _ := json.MarshalIndent(rep, "", "  ")
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			t.Fatalf("writing %s: %v", out, err)
-		}
 	}
 }
 
