@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-parallel fuzz gen gen-drift bench bench-diff bench-smoke benchmark-smoke trace-smoke serve-smoke serve-stress chaos crash-chaos profile ci clean
+.PHONY: build vet test race fuzz gen gen-drift bench bench-diff bench-smoke benchmark-smoke trace-smoke serve-smoke serve-stress chaos crash-chaos profile ci clean
 
 build:
 	$(GO) build ./...
@@ -24,15 +24,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Race-check the scheduler and staging layers — and the generated kernel
-# backend, which drives the same deferred merge machinery — with parallel
-# host execution forced on for every engine the tests construct. (The scalar
-# baselines in internal/baselines assume serial-immediate semantics and are
-# NOT covered by this override; see DESIGN.md.)
-race-parallel:
-	EGACS_HOST_EXEC=parallel $(GO) test -race ./internal/spmd/... ./internal/worklist/...
-	EGACS_HOST_EXEC=parallel $(GO) test -race ./internal/compiled/... ./internal/codegen/...
 
 # Short fuzz pass over the graph readers, the service request decoder, the
 # interp-vs-compiled backend differential (random graph/kernel/config draws
@@ -106,11 +97,12 @@ serve-stress:
 
 # Nightly-style chaos sweep: every kernel through RunResilientVerified under
 # every corruption class at escalating rates with checkpointing and invariant
-# verification on. EGACS_CHAOS=full widens the seed list from the CI-sized
-# default. Every run must end in a verified output or a typed error — never a
+# verification on, and the execution matrix over its full product.
+# EGACS_CHAOS=full widens the seed list and the matrix from the CI-sized
+# defaults. Every run must end in a verified output or a typed error — never a
 # panic or silent corruption.
 chaos:
-	EGACS_CHAOS=full $(GO) test -run '^TestChaos$$' -v -timeout 30m ./internal/core
+	EGACS_CHAOS=full $(GO) test -run '^(TestChaos|TestExecutionMatrix)$$' -v -timeout 30m ./internal/core
 
 # Kill-anywhere crash-recovery harness: for every named point of the mutation
 # pipeline (WAL append, apply, compaction build/persist, snapshot rename,
@@ -127,7 +119,7 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof cpu.prof"
 
-ci: vet build gen-drift race race-parallel bench-smoke benchmark-smoke bench-diff trace-smoke serve-smoke serve-stress
+ci: vet build gen-drift race bench-smoke benchmark-smoke bench-diff trace-smoke serve-smoke serve-stress
 
 clean:
 	$(GO) clean ./...

@@ -13,8 +13,21 @@ import (
 	"repro/internal/vec"
 )
 
-func newEngine() *spmd.Engine {
-	return spmd.New(machine.Intel8(), vec.TargetAVX512x16, 4)
+func newEngine(mode spmd.Exec) *spmd.Engine {
+	e := spmd.New(machine.Intel8(), vec.TargetAVX512x16, 4)
+	e.Exec = mode
+	return e
+}
+
+// eachExec runs body as one subtest per scheduler the unit tests cover: live
+// (the engine default) and parallel.
+func eachExec(t *testing.T, body func(t *testing.T, mode spmd.Exec)) {
+	for _, m := range []struct {
+		name string
+		mode spmd.Exec
+	}{{"live", spmd.ExecLive}, {"parallel", spmd.ExecParallel}} {
+		t.Run(m.name, func(t *testing.T) { body(t, m.mode) })
+	}
 }
 
 func TestCompileRejectsInvalid(t *testing.T) {
@@ -71,94 +84,102 @@ func TestNPRejectsOuterWrites(t *testing.T) {
 }
 
 func TestBindRejectsCorruptGraph(t *testing.T) {
-	m := MustCompile(kernels.BFSWL().Prog)
-	g := graph.Road(4, 4, 4, 1)
-	g.EdgeDst[0] = 999
-	if _, err := m.Bind(newEngine(), g, nil); err == nil {
-		t.Error("corrupt graph bound")
-	}
+	eachExec(t, func(t *testing.T, mode spmd.Exec) {
+		m := MustCompile(kernels.BFSWL().Prog)
+		g := graph.Road(4, 4, 4, 1)
+		g.EdgeDst[0] = 999
+		if _, err := m.Bind(newEngine(mode), g, nil); err == nil {
+			t.Error("corrupt graph bound")
+		}
+	})
 }
 
 func TestInstanceAccessors(t *testing.T) {
-	prog := opt.MustApply(kernels.PR().Prog, opt.None())
-	m := MustCompile(prog)
-	in, err := m.Bind(newEngine(), graph.Road(6, 6, 4, 2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Run()
-	if in.ArrayF("rank") == nil || in.ArrayI("deg") == nil {
-		t.Error("accessors nil for bound arrays")
-	}
-	if in.ArrayI("nothing") != nil || in.ArrayF("nothing") != nil {
-		t.Error("accessors non-nil for unknown arrays")
-	}
-	if in.Array("rank") == nil {
-		t.Error("Array accessor nil")
-	}
+	eachExec(t, func(t *testing.T, mode spmd.Exec) {
+		prog := opt.MustApply(kernels.PR().Prog, opt.None())
+		m := MustCompile(prog)
+		in, err := m.Bind(newEngine(mode), graph.Road(6, 6, 4, 2), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Run()
+		if in.ArrayF("rank") == nil || in.ArrayI("deg") == nil {
+			t.Error("accessors nil for bound arrays")
+		}
+		if in.ArrayI("nothing") != nil || in.ArrayF("nothing") != nil {
+			t.Error("accessors non-nil for unknown arrays")
+		}
+		if in.Array("rank") == nil {
+			t.Error("Array accessor nil")
+		}
+	})
 }
 
 func TestParamsDefaultsAndOverrides(t *testing.T) {
-	m := MustCompile(kernels.SSSPNF().Prog)
-	in, err := m.Bind(newEngine(), graph.Road(6, 6, 16, 2), map[string]int32{"delta": 7, "src": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Params["delta"] != 7 || in.Params["src"] != 3 {
-		t.Errorf("params = %v", in.Params)
-	}
-	in.Run()
-	if in.ArrayI("dist")[3] != 0 {
-		t.Error("src override ignored")
-	}
+	eachExec(t, func(t *testing.T, mode spmd.Exec) {
+		m := MustCompile(kernels.SSSPNF().Prog)
+		in, err := m.Bind(newEngine(mode), graph.Road(6, 6, 16, 2), map[string]int32{"delta": 7, "src": 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Params["delta"] != 7 || in.Params["src"] != 3 {
+			t.Errorf("params = %v", in.Params)
+		}
+		in.Run()
+		if in.ArrayI("dist")[3] != 0 {
+			t.Error("src override ignored")
+		}
+	})
 }
 
 func TestInitModes(t *testing.T) {
-	prog := &ir.Program{
-		Name: "inits",
-		Arrays: []ir.ArrayDecl{
-			{Name: "z", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitZero},
-			{Name: "s", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitSplat, InitI: 9},
-			{Name: "io", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitIota},
-			{Name: "x", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitSplatExceptSrc, InitI: 5, SrcVal: -1},
-			{Name: "h", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitHash},
-			{Name: "d", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitDegree},
-			{Name: "f", T: ir.F32, Size: ir.SizeNodes, Init: ir.InitInvN},
-			{Name: "sf", T: ir.F32, Size: ir.SizeOne, Init: ir.InitSplat, InitF: 2.5},
-		},
-		Kernels: []*ir.Kernel{{
-			Name: "nop", Domain: ir.DomainNodes, ItemVar: "n",
-			Body: []ir.Stmt{ir.DeclI("t", ir.V("n"))},
-		}},
-		Pipe: []ir.PipeStmt{&ir.Invoke{Kernel: "nop"}},
-	}
-	m := MustCompile(prog)
-	g := graph.Road(4, 4, 4, 1) // 16 nodes
-	in, err := m.Bind(newEngine(), g, map[string]int32{"src": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Run()
-	if in.ArrayI("z")[5] != 0 || in.ArrayI("s")[5] != 9 || in.ArrayI("io")[5] != 5 {
-		t.Error("zero/splat/iota init wrong")
-	}
-	x := in.ArrayI("x")
-	if x[2] != -1 || x[3] != 5 {
-		t.Errorf("splat-except-src: %v", x[:4])
-	}
-	h := in.ArrayI("h")
-	if h[0] == h[1] || h[0] < 0 || h[1] < 0 {
-		t.Error("hash init not positive-distinct")
-	}
-	if in.ArrayI("d")[5] != g.Degree(5) {
-		t.Error("degree init wrong")
-	}
-	if f := in.ArrayF("f")[3]; f != 1.0/16 {
-		t.Errorf("inv-n init = %v", f)
-	}
-	if in.ArrayF("sf")[0] != 2.5 {
-		t.Error("float splat init wrong")
-	}
+	eachExec(t, func(t *testing.T, mode spmd.Exec) {
+		prog := &ir.Program{
+			Name: "inits",
+			Arrays: []ir.ArrayDecl{
+				{Name: "z", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitZero},
+				{Name: "s", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitSplat, InitI: 9},
+				{Name: "io", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitIota},
+				{Name: "x", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitSplatExceptSrc, InitI: 5, SrcVal: -1},
+				{Name: "h", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitHash},
+				{Name: "d", T: ir.I32, Size: ir.SizeNodes, Init: ir.InitDegree},
+				{Name: "f", T: ir.F32, Size: ir.SizeNodes, Init: ir.InitInvN},
+				{Name: "sf", T: ir.F32, Size: ir.SizeOne, Init: ir.InitSplat, InitF: 2.5},
+			},
+			Kernels: []*ir.Kernel{{
+				Name: "nop", Domain: ir.DomainNodes, ItemVar: "n",
+				Body: []ir.Stmt{ir.DeclI("t", ir.V("n"))},
+			}},
+			Pipe: []ir.PipeStmt{&ir.Invoke{Kernel: "nop"}},
+		}
+		m := MustCompile(prog)
+		g := graph.Road(4, 4, 4, 1) // 16 nodes
+		in, err := m.Bind(newEngine(mode), g, map[string]int32{"src": 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Run()
+		if in.ArrayI("z")[5] != 0 || in.ArrayI("s")[5] != 9 || in.ArrayI("io")[5] != 5 {
+			t.Error("zero/splat/iota init wrong")
+		}
+		x := in.ArrayI("x")
+		if x[2] != -1 || x[3] != 5 {
+			t.Errorf("splat-except-src: %v", x[:4])
+		}
+		h := in.ArrayI("h")
+		if h[0] == h[1] || h[0] < 0 || h[1] < 0 {
+			t.Error("hash init not positive-distinct")
+		}
+		if in.ArrayI("d")[5] != g.Degree(5) {
+			t.Error("degree init wrong")
+		}
+		if f := in.ArrayF("f")[3]; f != 1.0/16 {
+			t.Errorf("inv-n init = %v", f)
+		}
+		if in.ArrayF("sf")[0] != 2.5 {
+			t.Error("float splat init wrong")
+		}
+	})
 }
 
 func TestEmitISPCUnoptimized(t *testing.T) {
@@ -239,17 +260,19 @@ func TestEmitISPCSpecials(t *testing.T) {
 // TestWorkItemCounting: processed item counts equal the work the algorithm
 // actually does.
 func TestWorkItemCounting(t *testing.T) {
-	prog := opt.MustApply(kernels.BFSTP().Prog, opt.None())
-	m := MustCompile(prog)
-	g := graph.Road(4, 4, 4, 1)
-	e := newEngine()
-	in, err := m.Bind(e, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Run()
-	// Topology-driven: every round sweeps all 16 nodes.
-	if e.Stats.WorkItems%16 != 0 || e.Stats.WorkItems == 0 {
-		t.Errorf("WorkItems = %d, want a positive multiple of 16", e.Stats.WorkItems)
-	}
+	eachExec(t, func(t *testing.T, mode spmd.Exec) {
+		prog := opt.MustApply(kernels.BFSTP().Prog, opt.None())
+		m := MustCompile(prog)
+		g := graph.Road(4, 4, 4, 1)
+		e := newEngine(mode)
+		in, err := m.Bind(e, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Run()
+		// Topology-driven: every round sweeps all 16 nodes.
+		if e.Stats.WorkItems%16 != 0 || e.Stats.WorkItems == 0 {
+			t.Errorf("WorkItems = %d, want a positive multiple of 16", e.Stats.WorkItems)
+		}
+	})
 }

@@ -195,7 +195,7 @@ func genProgram(seed int64) *ir.Program {
 }
 
 // runConfig executes the program and returns the three output arrays.
-func runConfig(t *testing.T, prog *ir.Program, tgt vec.Target, opts opt.Options, tasks int, g *graph.CSR) [][]int32 {
+func runConfig(t *testing.T, prog *ir.Program, tgt vec.Target, opts opt.Options, tasks int, exec spmd.Exec, g *graph.CSR) [][]int32 {
 	t.Helper()
 	p, err := opt.Apply(prog, opts)
 	if err != nil {
@@ -206,11 +206,14 @@ func runConfig(t *testing.T, prog *ir.Program, tgt vec.Target, opts opt.Options,
 		t.Fatalf("%s: %v", prog.Name, err)
 	}
 	e := spmd.New(machine.Intel8(), tgt, tasks)
+	e.Exec = exec
 	in, err := mod.Bind(e, g, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", prog.Name, err)
 	}
-	in.Run()
+	if err := in.Run(); err != nil {
+		t.Fatalf("%s: %v\nprogram:\n%s", prog.Name, err, EmitISPC(prog))
+	}
 	var out [][]int32
 	for _, name := range []string{"out", "cnt", "m"} {
 		out = append(out, append([]int32(nil), in.ArrayI(name)...))
@@ -219,8 +222,8 @@ func runConfig(t *testing.T, prog *ir.Program, tgt vec.Target, opts opt.Options,
 }
 
 // TestDifferentialRandomPrograms is the randomized equivalence gate: for
-// each generated program, all width/ISA/optimization/task combinations must
-// produce identical outputs.
+// each generated program, all width/ISA/optimization/task/scheduler
+// combinations must produce identical outputs.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	const programs = 60
 	g := graph.RMAT(8, 8, 16, 99) // diffNodes nodes with skewed degrees
@@ -232,23 +235,27 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		tgt   vec.Target
 		opts  opt.Options
 		tasks int
+		exec  spmd.Exec
 	}{
-		{"scalar", vec.TargetScalar, opt.None(), 1},
-		{"avx1x8-none", vec.TargetAVX1x8, opt.None(), 4},
-		{"avx512x16-none", vec.TargetAVX512x16, opt.None(), 4},
-		{"avx512x16-all", vec.TargetAVX512x16, opt.All(), 4},
-		{"avx2x16-np", vec.TargetAVX2x16, opt.Options{NP: true}, 3},
-		{"gpu32-all", vec.TargetGPU32, opt.All(), 8},
-		{"neon4-all", vec.TargetNEON4, opt.All(), 2},
+		{"scalar", vec.TargetScalar, opt.None(), 1, spmd.ExecLive},
+		{"avx1x8-none", vec.TargetAVX1x8, opt.None(), 4, spmd.ExecLive},
+		{"avx512x16-none", vec.TargetAVX512x16, opt.None(), 4, spmd.ExecLive},
+		{"avx512x16-all", vec.TargetAVX512x16, opt.All(), 4, spmd.ExecLive},
+		{"avx2x16-np", vec.TargetAVX2x16, opt.Options{NP: true}, 3, spmd.ExecLive},
+		{"gpu32-all", vec.TargetGPU32, opt.All(), 8, spmd.ExecLive},
+		{"neon4-all", vec.TargetNEON4, opt.All(), 2, spmd.ExecLive},
+		{"avx512x16-all-parallel", vec.TargetAVX512x16, opt.All(), 4, spmd.ExecParallel},
+		{"avx2x16-np-parallel", vec.TargetAVX2x16, opt.Options{NP: true}, 3, spmd.ExecParallel},
+		{"avx1x8-none-parallel", vec.TargetAVX1x8, opt.None(), 4, spmd.ExecParallel},
 	}
 	for seed := int64(0); seed < programs; seed++ {
 		prog := genProgram(seed)
 		if err := ir.Validate(prog); err != nil {
 			t.Fatalf("seed %d: generator produced invalid IR: %v", seed, err)
 		}
-		ref := runConfig(t, prog, configs[0].tgt, configs[0].opts, configs[0].tasks, g)
+		ref := runConfig(t, prog, configs[0].tgt, configs[0].opts, configs[0].tasks, configs[0].exec, g)
 		for _, c := range configs[1:] {
-			got := runConfig(t, prog, c.tgt, c.opts, c.tasks, g)
+			got := runConfig(t, prog, c.tgt, c.opts, c.tasks, c.exec, g)
 			for ai := range ref {
 				for i := range ref[ai] {
 					if got[ai][i] != ref[ai][i] {

@@ -26,6 +26,7 @@ import (
 // A scheduler or backend leaking into *where* cycles are attributed would
 // pass a total-only check and still corrupt every profile built on top.
 func TestAttributionSumsExactly(t *testing.T) {
+	t.Parallel()
 	modes := []struct {
 		name string
 		exec HostExec
@@ -93,10 +94,7 @@ func TestAttributionRollbackInvisible(t *testing.T) {
 	g0 := recoveryGraph()
 	totalRollbacks := 0
 	for _, name := range []string{"bfs-wl", "sssp-nf", "pr-delta"} {
-		b, err := kernels.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := mustKernel(t, name)
 		g := PrepareGraph(b, g0)
 		for _, mode := range []HostExec{HostCooperative, HostParallel} {
 			clean, err := Run(b, g, Config{Tasks: 4, HostExec: mode})
@@ -134,10 +132,7 @@ func TestAttributionRollbackInvisible(t *testing.T) {
 // and at least the worklist and gather/scatter cost classes, and every line
 // must have the root;phase;class shape.
 func TestAttributionCollapsedProfile(t *testing.T) {
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := PrepareGraph(b, recoveryGraph())
 	res, err := Run(b, g, Config{Tasks: 4, HostExec: HostCooperative})
 	if err != nil {

@@ -2,14 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/compiled"
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/machine"
@@ -18,194 +14,6 @@ import (
 	"repro/internal/vec"
 )
 
-// runBothBackends executes the same configuration once pinned to the
-// interpreter and once on the generated backend (BackendAuto on a covered
-// configuration), asserting each ran what it should, and returns both results.
-func runBothBackends(t *testing.T, b *kernels.Benchmark, g *graph.CSR, cfg Config) (interp, comp *Result) {
-	t.Helper()
-	ci := cfg
-	ci.Backend = BackendInterp
-	interp, err := Run(b, g, ci)
-	if err != nil {
-		t.Fatalf("%s interp: %v", b.Name, err)
-	}
-	cc := cfg
-	cc.Backend = BackendAuto
-	comp, err = Run(b, g, cc)
-	if err != nil {
-		t.Fatalf("%s compiled: %v", b.Name, err)
-	}
-	if interp.Backend != "interp" || comp.Backend != "compiled" {
-		t.Fatalf("%s: backend pin not honored: %q / %q", b.Name, interp.Backend, comp.Backend)
-	}
-	return interp, comp
-}
-
-// requireBitIdentical compares the two results of a differential pair: modeled
-// time, the full statistics counters and every output array must match bit for
-// bit (floats compared on their bit patterns — the backends must take the
-// exact same accumulation order, not merely be numerically close).
-func requireBitIdentical(t *testing.T, label string, interp, comp *Result) {
-	t.Helper()
-	if interp.TimeMS != comp.TimeMS {
-		t.Errorf("%s: modeled time diverges: interp %v ms, compiled %v ms",
-			label, interp.TimeMS, comp.TimeMS)
-	}
-	if !reflect.DeepEqual(interp.Stats, comp.Stats) {
-		t.Errorf("%s: stats diverge:\ninterp   %+v\ncompiled %+v",
-			label, interp.Stats, comp.Stats)
-	}
-	ii, fi := snapshotOutputs(interp)
-	ic, fc := snapshotOutputs(comp)
-	for name, want := range ii {
-		got := ic[name]
-		if len(got) != len(want) {
-			t.Errorf("%s: array %q length diverges", label, name)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: array %q diverges at [%d]: interp %d, compiled %d",
-					label, name, i, want[i], got[i])
-				break
-			}
-		}
-	}
-	for name, want := range fi {
-		got := fc[name]
-		if len(got) != len(want) {
-			t.Errorf("%s: array %q length diverges", label, name)
-			continue
-		}
-		for i := range want {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Errorf("%s: array %q diverges at [%d]: interp %v, compiled %v",
-					label, name, i, want[i], got[i])
-				break
-			}
-		}
-	}
-}
-
-// TestCompiledMatchesInterpBitwise is the tentpole differential gate for the
-// generated-Go backend: every benchmark (the paper's ten plus the two
-// extensions), on every input family, under all three host execution modes,
-// must produce bit-identical modeled time, statistics and outputs on both
-// backends — the interpreter is the oracle, the generated code the candidate.
-func TestCompiledMatchesInterpBitwise(t *testing.T) {
-	modes := []struct {
-		name string
-		h    HostExec
-	}{
-		{"live", HostLive},
-		{"cooperative", HostCooperative},
-		{"parallel", HostParallel},
-	}
-	for _, b := range kernels.AllWithExtensions() {
-		for _, raw := range testGraphs() {
-			g := PrepareGraph(b, raw)
-			for _, mode := range modes {
-				label := b.Name + "/" + raw.Name + "/" + mode.name
-				interp, comp := runBothBackends(t, b, g, Config{Tasks: 4, HostExec: mode.h})
-				requireBitIdentical(t, label, interp, comp)
-				if err := Verify(b, g, comp); err != nil {
-					t.Errorf("%s: compiled output fails reference verification: %v", label, err)
-				}
-			}
-		}
-	}
-}
-
-// TestCompiledMatchesInterpUnderSell runs the differential gate with the
-// SELL-C-σ layout policy on, so the generated dense-column loops and their
-// runtime CSR-vs-SELL dispatch are compared against the interpreter's, not
-// just the CSR paths.
-func TestCompiledMatchesInterpUnderSell(t *testing.T) {
-	for _, b := range kernels.AllWithExtensions() {
-		g := PrepareGraph(b, graph.RMAT(9, 8, 16, 4))
-		interp, comp := runBothBackends(t, b, g,
-			Config{Tasks: 4, HostExec: HostParallel, Layout: LayoutSell})
-		if interp.Layout != comp.Layout {
-			t.Fatalf("%s: layout decision diverges: %q vs %q", b.Name, interp.Layout, comp.Layout)
-		}
-		requireBitIdentical(t, b.Name+"/sell", interp, comp)
-		if comp.Layout == "sell" && comp.Stats.SellColumns == 0 {
-			t.Errorf("%s: SELL attached but compiled run pushed no dense columns", b.Name)
-		}
-	}
-}
-
-// TestCompiledMatchesInterpUnderFaults drives both backends through identical
-// fault-injection schedules with checkpointing, rollback and invariant
-// verification on. Because generated kernels draw from the injector in the
-// interpreter's exact order, the two runs must see the same faults, take the
-// same rollbacks and end in the same state — recovery counters included.
-func TestCompiledMatchesInterpUnderFaults(t *testing.T) {
-	g0 := recoveryGraph()
-	names := []string{"bfs-wl", "sssp-nf", "cc", "pr"}
-	rates := []fault.Config{
-		{Transient: 0.15},                  // pipe-window faults: rollback traffic
-		{BitFlip: 0.3},                     // silent corruption: invariant rejections
-		{GatherIndex: 0.001, BitFlip: 0.1}, // kernel-level draws inside generated code
-	}
-	totalRollbacks := 0
-	for _, name := range names {
-		b, err := kernels.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := PrepareGraph(b, g0)
-		for ri, rate := range rates {
-			for _, seed := range []uint64{7, 42} {
-				// Each run gets its own injector: the PRNG is stateful, and
-				// the whole point is that both backends draw the identical
-				// stream from identical fresh state.
-				cfg := func(bk Backend) Config {
-					return Config{
-						Backend:          bk,
-						Tasks:            4,
-						HostExec:         HostParallel,
-						CheckpointEvery:  1,
-						MaxRollbacks:     200,
-						VerifyInvariants: true,
-						Budget:           fault.Budget{MaxIters: 5000, StallWindow: 128},
-						Inject:           fault.NewInjector(seed, rate),
-					}
-				}
-				label := fmt.Sprintf("%s/rate#%d/seed%d", name, ri, seed)
-				interp, ierr := Run(b, g, cfg(BackendInterp))
-				comp, cerr := Run(b, g, cfg(BackendAuto))
-				if (ierr == nil) != (cerr == nil) {
-					t.Errorf("%s: error divergence: interp %v, compiled %v", label, ierr, cerr)
-					continue
-				}
-				if ierr != nil {
-					// Both runs died: they must have died the same death, at
-					// the same modeled instant.
-					if ierr.Error() != cerr.Error() {
-						t.Errorf("%s: error text divergence:\ninterp   %v\ncompiled %v",
-							label, ierr, cerr)
-					}
-					continue
-				}
-				if interp.Backend != "interp" || comp.Backend != "compiled" {
-					t.Fatalf("%s: backend pin not honored: %q / %q",
-						label, interp.Backend, comp.Backend)
-				}
-				requireBitIdentical(t, label, interp, comp)
-				if interp.Recovery != comp.Recovery {
-					t.Errorf("%s: recovery counters diverge: interp %+v, compiled %+v",
-						label, interp.Recovery, comp.Recovery)
-				}
-				totalRollbacks += comp.Recovery.Rollbacks
-			}
-		}
-	}
-	if totalRollbacks == 0 {
-		t.Error("no rollbacks anywhere in the sweep: injection misconfigured, gate is vacuous")
-	}
-}
-
 // TestCompiledBackendFallback pins the degradation contract: a BackendAuto
 // request the generated code cannot serve must not fail the run — core falls
 // back to the interpreter, reports it in Result.Backend, and the outputs still
@@ -213,10 +21,7 @@ func TestCompiledMatchesInterpUnderFaults(t *testing.T) {
 // optimization configuration whose post-opt IR fingerprint differs from what
 // the checked-in code was generated from.
 func TestCompiledBackendFallback(t *testing.T) {
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := PrepareGraph(b, graph.Road(16, 16, 8, 3))
 
 	res, err := Run(b, g, Config{Backend: BackendAuto, Target: vec.TargetAVX2x4})
@@ -317,15 +122,8 @@ func FuzzBackendDifferential(f *testing.F) {
 		cc := cfg
 		cc.Backend = BackendAuto
 		comp, cerr := Run(b, g, cc)
-		if (ierr == nil) != (cerr == nil) {
-			t.Fatalf("error divergence: interp %v, compiled %v", ierr, cerr)
+		if err := snapshot(interp, ierr).diff(snapshot(comp, cerr), fAll&^fBackend, nil); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if ierr != nil {
-			if ierr.Error() != cerr.Error() {
-				t.Fatalf("error text divergence: interp %v, compiled %v", ierr, cerr)
-			}
-			return
-		}
-		requireBitIdentical(t, b.Name, interp, comp)
 	})
 }

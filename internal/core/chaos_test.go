@@ -52,6 +52,7 @@ func chaosTyped(err error) bool {
 // The default sweep is CI-sized; `make chaos` (EGACS_CHAOS=full) widens the
 // seed list for the nightly-style job.
 func TestChaos(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("chaos sweep is not short")
 	}

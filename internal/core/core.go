@@ -34,12 +34,11 @@ import (
 type HostExec int
 
 const (
-	// HostAuto (the zero value) keeps the engine's default, which honors
-	// the EGACS_HOST_EXEC environment variable ("parallel", "cooperative",
-	// "live") and is the live scheduler when unset — so library callers
-	// and calibrated tests see unchanged modeled numbers unless they opt
-	// in.
-	HostAuto HostExec = iota
+	// HostLive (the zero value) runs the live cooperative scheduler
+	// (spmd.ExecLive) with immediate effects — the calibrated setup, so
+	// library callers and golden tests see unchanged modeled numbers unless
+	// they opt in.
+	HostLive HostExec = iota
 	// HostParallel runs tasks concurrently on real goroutines with
 	// deferred effects (spmd.ExecParallel). The cmd binaries default to
 	// it via -host-parallel.
@@ -48,9 +47,6 @@ const (
 	// scheduler (spmd.ExecDeferred) — serial, bit-identical to
 	// HostParallel.
 	HostCooperative
-	// HostLive runs the legacy live cooperative scheduler
-	// (spmd.ExecLive) with immediate effects.
-	HostLive
 )
 
 // Layout selects the graph layout policy for a run. Independent of layout,
@@ -141,22 +137,17 @@ func ParseBackend(s string) (Backend, error) {
 // resolveExec maps the config knob to an engine mode. Programs marked
 // LiveAtomics need cross-task atomic visibility within a segment and always
 // run live; fault injection is downgraded engine-side (see
-// spmd.Engine.DeferredExec). envDefault is the engine's EGACS_HOST_EXEC
-// resolution, kept when the knob is HostAuto.
-func resolveExec(h HostExec, prog *ir.Program, envDefault spmd.Exec) spmd.Exec {
-	if prog.LiveAtomics {
+// spmd.Engine.DeferredExec).
+func resolveExec(h HostExec, prog *ir.Program) spmd.Exec {
+	switch {
+	case prog.LiveAtomics:
 		return spmd.ExecLive
-	}
-	switch h {
-	case HostParallel:
+	case h == HostParallel:
 		return spmd.ExecParallel
-	case HostCooperative:
+	case h == HostCooperative:
 		return spmd.ExecDeferred
-	case HostLive:
-		return spmd.ExecLive
-	default:
-		return envDefault
 	}
+	return spmd.ExecLive
 }
 
 // Config selects machine, target, tasking and optimization settings for one
@@ -198,10 +189,10 @@ type Config struct {
 	Budget fault.Budget
 	// Inject attaches a deterministic fault injector to the run's engine.
 	Inject *fault.Injector
-	// HostExec selects the execution strategy (parallel host execution by
-	// default; see the HostExec constants). Fault injection and
-	// LiveAtomics programs fall back to the live cooperative scheduler;
-	// profiling, tracing and metrics work in every mode.
+	// HostExec selects the host scheduler (default live; see the HostExec
+	// constants). Index-corruption injection and LiveAtomics programs run
+	// live whatever is asked; profiling, tracing and metrics work in every
+	// mode.
 	HostExec HostExec
 	// CheckpointEvery, when positive, snapshots engine-visible state at
 	// top-level pipe-loop heads every that many iterations and rolls back to
@@ -426,7 +417,7 @@ func run(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*Result, error) {
 	e.Pager = cfg.Pager
 	e.Budget = cfg.Budget
 	e.Inject = cfg.Inject
-	e.Exec = resolveExec(cfg.HostExec, prog, e.Exec)
+	e.Exec = resolveExec(cfg.HostExec, prog)
 	if cfg.ProfileKernels {
 		e.EnableProfiling()
 	}

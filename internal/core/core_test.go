@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -10,65 +9,12 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/opt"
-	"repro/internal/spmd"
 	"repro/internal/vec"
 )
 
 // testGraphs returns small instances of the three input families.
 func testGraphs() []*graph.CSR {
 	return graph.Suite(graph.ScaleTest, 7)
-}
-
-// TestAllBenchmarksAllOptsMatchReference is the central correctness gate:
-// every benchmark, on every input family, under every optimization
-// combination, must produce outputs identical to the serial reference.
-func TestAllBenchmarksAllOptsMatchReference(t *testing.T) {
-	optSets := []opt.Options{
-		opt.None(),
-		{IO: true},
-		{NP: true},
-		{CC: true},
-		{IO: true, CC: true, NP: true},
-		{Fibers: true},
-		opt.All(),
-	}
-	inputs := append(testGraphs(), bridgeGraph(64)) // 64: the generators' max weight
-	for _, b := range kernels.All() {
-		for _, raw := range inputs {
-			g := PrepareGraph(b, raw)
-			for _, opts := range optSets {
-				opts := opts
-				res, err := Run(b, g, Config{Opts: &opts, Tasks: 4})
-				if err != nil {
-					t.Fatalf("%s/%s/%v: %v", b.Name, raw.Name, opts, err)
-				}
-				if err := Verify(b, g, res); err != nil {
-					t.Errorf("%s/%s/%v: %v", b.Name, raw.Name, opts, err)
-				}
-			}
-		}
-	}
-}
-
-// bridgeGraph is two 16-node rings joined by one edge of weight w: every
-// spanning tree must take that edge, so mst verifies only if a weight-w edge
-// can win its component's minimum-edge selection.
-func bridgeGraph(w int32) *graph.CSR {
-	const ring = 16
-	var edges []graph.Edge
-	for side := int32(0); side < 2; side++ {
-		for i := int32(0); i < ring; i++ {
-			u, v := side*ring+i, side*ring+(i+1)%ring
-			edges = append(edges, graph.Edge{Src: u, Dst: v, W: 1 + (i*7)%13})
-		}
-	}
-	edges = append(edges, graph.Edge{Src: 0, Dst: ring, W: w})
-	g, err := graph.FromEdges(2*ring, edges, true)
-	if err != nil {
-		panic(err)
-	}
-	g.Name = fmt.Sprintf("bridge-w%d", w)
-	return g
 }
 
 // TestMSTKeyRange pins mst's input contract: the widest weight whose packed
@@ -85,33 +31,10 @@ func TestMSTKeyRange(t *testing.T) {
 	}
 }
 
-// TestAllTargetsMatchReference runs each benchmark under every ISA/width.
-func TestAllTargetsMatchReference(t *testing.T) {
-	targets := []vec.Target{
-		vec.TargetScalar,
-		vec.TargetAVX1x4, vec.TargetAVX1x8, vec.TargetAVX1x16,
-		vec.TargetAVX2x4, vec.TargetAVX2x8, vec.TargetAVX2x16,
-		vec.TargetAVX512x4, vec.TargetAVX512x8, vec.TargetAVX512x16,
-		vec.TargetGPU32,
-	}
-	raw := graph.RMAT(8, 8, 64, 3)
-	for _, b := range kernels.All() {
-		g := PrepareGraph(b, raw)
-		for _, tgt := range targets {
-			if _, err := RunVerified(b, g, Config{Target: tgt, Tasks: 4}); err != nil {
-				t.Errorf("%v: %v", tgt, err)
-			}
-		}
-	}
-}
-
 // TestAllMachinesRun exercises the three CPU models and the GPU model.
 func TestAllMachinesRun(t *testing.T) {
 	raw := graph.Road(12, 12, 16, 5)
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	for _, m := range []*machine.Config{
 		machine.Intel8(), machine.AMD32(), machine.Phi72(), machine.QuadroP5000(),
 	} {
@@ -281,23 +204,9 @@ func TestMTScales(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	b, _ := kernels.ByName("sssp-nf")
 	g := graph.Road(16, 16, 32, 11)
-	run := func() (float64, spmd.Stats, []int32) {
-		res, err := Run(b, g, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dist := append([]int32(nil), res.Instance.ArrayI("dist")...)
-		return res.TimeMS, res.Stats, dist
-	}
-	tm1, s1, d1 := run()
-	tm2, s2, d2 := run()
-	if tm1 != tm2 || s1 != s2 {
-		t.Error("nondeterministic time/stats")
-	}
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatal("nondeterministic output")
-		}
+	first := snapshot(Run(b, g, Config{}))
+	if err := first.diff(snapshot(Run(b, g, Config{})), fAll, nil); err != nil || first.err != "" {
+		t.Errorf("nondeterministic run: %v (%s)", err, first.err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/spmd"
+	"repro/internal/vec"
 )
 
 // countingCtx is a fake context whose Err flips to Canceled after n checks —
@@ -47,10 +48,7 @@ func (c *countingCtx) Done() <-chan struct{} { return c.done }
 // modeled cycles — with a typed deadline BudgetError, and the degradation
 // chain is abandoned rather than falling back (nobody is left to serve).
 func TestCancelDuringIteration(t *testing.T) {
-	b, err := kernels.ByName("pr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "pr")
 	g := graph.Random(300, 2400, 16, 5)
 	g.SortAdjacency()
 
@@ -94,10 +92,7 @@ func TestCancelDuringIteration(t *testing.T) {
 // config wins over the call context, so callers can decouple the chain gate
 // from the per-run watchdog.
 func TestCancelConfigCtxPrecedence(t *testing.T) {
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := graph.Road(8, 8, 4, 1)
 
 	inner, cancel := context.WithCancel(context.Background())
@@ -173,60 +168,12 @@ func TestConcurrentBudgets(t *testing.T) {
 	}
 }
 
-// TestEngineReuseMatchesFresh is the request-pool regression at the driver
-// level: a sequence of different kernels run back-to-back on ONE pooled
-// engine (Config.Engine) must produce outputs and modeled times identical to
-// fresh-engine runs — a request can never observe a prior tenant.
-func TestEngineReuseMatchesFresh(t *testing.T) {
-	m := machine.Intel8()
-	pooled := spmd.New(m, m.PreferredTarget, m.DefaultTasks)
-	base := graph.Random(250, 1800, 16, 3)
-	base.SortAdjacency()
-
-	for _, name := range []string{"bfs-wl", "pr", "sssp-nf", "cc", "bfs-wl"} {
-		b, err := kernels.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := PrepareGraph(b, base)
-
-		fresh, err := RunVerified(b, g, Config{Machine: m})
-		if err != nil {
-			t.Fatalf("%s fresh: %v", name, err)
-		}
-		reused, err := RunVerified(b, g, Config{Machine: m, Engine: pooled})
-		if err != nil {
-			t.Fatalf("%s reused: %v", name, err)
-		}
-		if reused.Engine != pooled {
-			t.Fatalf("%s: config engine was not reused", name)
-		}
-		if reused.TimeMS != fresh.TimeMS {
-			t.Errorf("%s: reused engine modeled %v ms, fresh %v ms", name, reused.TimeMS, fresh.TimeMS)
-		}
-		if reused.Stats != fresh.Stats {
-			t.Errorf("%s: stats diverge on reuse:\nreused %+v\nfresh  %+v", name, reused.Stats, fresh.Stats)
-		}
-		for _, d := range b.Prog.Arrays {
-			fi, ri := fresh.Instance.ArrayI(d.Name), reused.Instance.ArrayI(d.Name)
-			for i := range fi {
-				if fi[i] != ri[i] {
-					t.Fatalf("%s: %s[%d] = %d on reused engine, %d fresh", name, d.Name, i, ri[i], fi[i])
-				}
-			}
-			ff, rf := fresh.Instance.ArrayF(d.Name), reused.Instance.ArrayF(d.Name)
-			for i := range ff {
-				if ff[i] != rf[i] {
-					t.Fatalf("%s: %s[%d] = %v on reused engine, %v fresh", name, d.Name, i, rf[i], ff[i])
-				}
-			}
-		}
-	}
-
-	// A machine mismatch must fall back to a fresh engine, not misuse the pool.
-	arm := machine.ARM64()
-	b, _ := kernels.ByName("bfs-wl")
-	res, err := RunVerified(b, base, Config{Machine: arm, Engine: pooled})
+// TestEngineReuseNeedsSameMachine: an engine built for another machine model
+// must not be reused; the run falls back to a fresh engine and verifies.
+func TestEngineReuseNeedsSameMachine(t *testing.T) {
+	pooled := spmd.New(machine.Intel8(), vec.TargetAVX512x16, 4)
+	b := mustKernel(t, "bfs-wl")
+	res, err := RunVerified(b, graph.Random(250, 1800, 16, 3), Config{Machine: machine.ARM64(), Engine: pooled})
 	if err != nil {
 		t.Fatalf("mismatched-machine run: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/kernels"
 )
 
 // corpusBytes decodes one `go test fuzz v1` seed-corpus file with a single
@@ -48,10 +47,7 @@ func TestFuzzCorpusTriggersInvariant(t *testing.T) {
 	if verr := g0.Validate(); verr != nil {
 		t.Fatalf("corpus seed violates the reader contract: %v", verr)
 	}
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := PrepareGraph(b, g0)
 	for seed := uint64(1); seed <= 80; seed++ {
 		res, err := Run(b, g, Config{

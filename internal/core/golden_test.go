@@ -14,10 +14,7 @@ import (
 // accidental one should fail here.
 func TestModelGolden(t *testing.T) {
 	g := graph.Road(64, 64, 64, 1)
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	res, err := RunVerified(b, g, Config{Src: g.MaxDegreeNode()})
 	if err != nil {
 		t.Fatal(err)

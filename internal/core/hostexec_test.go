@@ -1,74 +1,11 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
-	"repro/internal/spmd"
 )
-
-// snapshotOutputs copies every declared program array of a finished run.
-func snapshotOutputs(res *Result) (map[string][]int32, map[string][]float32) {
-	iv := map[string][]int32{}
-	fv := map[string][]float32{}
-	for _, d := range res.Instance.M.Prog.Arrays {
-		if out := res.Instance.ArrayI(d.Name); out != nil {
-			iv[d.Name] = append([]int32(nil), out...)
-		}
-		if out := res.Instance.ArrayF(d.Name); out != nil {
-			fv[d.Name] = append([]float32(nil), out...)
-		}
-	}
-	return iv, fv
-}
-
-// TestParallelMatchesCooperativeBitwise is the tentpole differential gate:
-// for every benchmark of the paper's evaluation, on every input family, the
-// parallel scheduler must produce bit-identical modeled cycles, statistics
-// (total and per-class instruction counts, atomics, barriers, ...) and
-// converged outputs to the deferred cooperative reference scheduler — and
-// both must pass output verification against the serial reference.
-func TestParallelMatchesCooperativeBitwise(t *testing.T) {
-	for _, b := range kernels.All() {
-		for _, raw := range testGraphs() {
-			g := PrepareGraph(b, raw)
-
-			ref, err := Run(b, g, Config{Tasks: 4, HostExec: HostCooperative})
-			if err != nil {
-				t.Fatalf("%s/%s cooperative: %v", b.Name, raw.Name, err)
-			}
-			if err := Verify(b, g, ref); err != nil {
-				t.Errorf("%s/%s cooperative: %v", b.Name, raw.Name, err)
-			}
-
-			par, err := Run(b, g, Config{Tasks: 4, HostExec: HostParallel})
-			if err != nil {
-				t.Fatalf("%s/%s parallel: %v", b.Name, raw.Name, err)
-			}
-			if err := Verify(b, g, par); err != nil {
-				t.Errorf("%s/%s parallel: %v", b.Name, raw.Name, err)
-			}
-
-			if rc, pc := ref.Engine.TimeCycles(), par.Engine.TimeCycles(); rc != pc {
-				t.Errorf("%s/%s: modeled cycles diverge: cooperative %v, parallel %v",
-					b.Name, raw.Name, rc, pc)
-			}
-			if !reflect.DeepEqual(ref.Stats, par.Stats) {
-				t.Errorf("%s/%s: stats diverge:\ncooperative %+v\nparallel    %+v",
-					b.Name, raw.Name, ref.Stats, par.Stats)
-			}
-
-			ri, rf := snapshotOutputs(ref)
-			pi, pf := snapshotOutputs(par)
-			if !reflect.DeepEqual(ri, pi) || !reflect.DeepEqual(rf, pf) {
-				t.Errorf("%s/%s: outputs diverge between cooperative and parallel",
-					b.Name, raw.Name)
-			}
-		}
-	}
-}
 
 // TestParallelRepeatable reruns one worklist-heavy benchmark several times in
 // both deferred modes: host scheduling must never leak into modeled time,
@@ -81,46 +18,19 @@ func TestParallelRepeatable(t *testing.T) {
 	b, _ := kernels.ByName("sssp-nf")
 	g := PrepareGraph(b, graph.RMAT(9, 8, 16, 4))
 	for _, mode := range []HostExec{HostCooperative, HostParallel} {
-		var cycles float64
-		var stats spmd.Stats
-		var outI map[string][]int32
-		var outF map[string][]float32
+		var first *outcome
 		for trial := 0; trial < 5; trial++ {
 			res, err := Run(b, g, Config{Tasks: 8, HostExec: mode})
 			if err != nil {
 				t.Fatalf("mode %d trial %d: %v", mode, trial, err)
 			}
-			ri, rf := snapshotOutputs(res)
+			o := snapshot(res, err)
 			if trial == 0 {
-				cycles, stats, outI, outF = res.Engine.TimeCycles(), res.Stats, ri, rf
+				first = o
 				continue
 			}
-			if res.Engine.TimeCycles() != cycles {
-				t.Fatalf("mode %d trial %d: cycles %v != %v",
-					mode, trial, res.Engine.TimeCycles(), cycles)
-			}
-			if !reflect.DeepEqual(res.Stats, stats) {
-				t.Fatalf("mode %d trial %d: stats diverge", mode, trial)
-			}
-			if !reflect.DeepEqual(ri, outI) || !reflect.DeepEqual(rf, outF) {
-				t.Fatalf("mode %d trial %d: outputs diverge", mode, trial)
-			}
-		}
-	}
-}
-
-// TestExtensionsForcedLive: kernels whose correctness needs live cross-task
-// atomic visibility must ignore a parallel request and still verify.
-func TestExtensionsForcedLive(t *testing.T) {
-	for _, b := range kernels.Extensions() {
-		for _, raw := range testGraphs() {
-			g := PrepareGraph(b, raw)
-			res, err := Run(b, g, Config{Tasks: 4, HostExec: HostParallel})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", b.Name, raw.Name, err)
-			}
-			if err := Verify(b, g, res); err != nil {
-				t.Errorf("%s/%s: %v", b.Name, raw.Name, err)
+			if err := first.diff(o, fAll, nil); err != nil {
+				t.Fatalf("mode %d trial %d: %v", mode, trial, err)
 			}
 		}
 	}

@@ -1,95 +1,12 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 )
-
-// semanticOutputs restricts snapshots to the arrays the benchmark's serial
-// reference defines — the algorithm's actual outputs. Worklist programs need
-// this: attaching SELL permutes DomainNodes processing order, and in deferred
-// modes the order changes which cross-task duplicate pushes get staged, so
-// scheduling-dependent scratch (e.g. bfs-hb's claimed bitmap, which records
-// every node that ever transited a small-frontier round) can legitimately
-// differ — exactly as it already does between live and deferred execution.
-// The converged outputs may not.
-func semanticOutputs(t *testing.T, b *kernels.Benchmark, g *graph.CSR, res *Result) (map[string][]int32, map[string][]float32) {
-	t.Helper()
-	ref := b.Reference(g, res.Instance.Params, res.Instance.Params["src"])
-	iv := map[string][]int32{}
-	fv := map[string][]float32{}
-	for name := range ref.I {
-		iv[name] = append([]int32(nil), res.Instance.ArrayI(name)...)
-	}
-	for name := range ref.F {
-		fv[name] = append([]float32(nil), res.Instance.ArrayF(name)...)
-	}
-	return iv, fv
-}
-
-// TestSellMatchesCSRBitwise is the layout differential gate: for every
-// benchmark (paper suite and extensions), on every input family, in every
-// host execution mode, a forced SELL-C-σ run must produce outputs
-// bit-identical to the CSR run — including the float kernels, which the
-// policy pins to CSR (so "forced" SELL is a no-op for them and identity is
-// trivial but still asserted end to end). Worklist-free programs must match
-// on every declared array, worklist programs on the reference-defined
-// outputs (see semanticOutputs). Outputs are also verified against the
-// serial reference, so a layout bug cannot hide behind a symmetric one.
-func TestSellMatchesCSRBitwise(t *testing.T) {
-	modes := []struct {
-		name string
-		h    HostExec
-	}{
-		{"live", HostLive},
-		{"cooperative", HostCooperative},
-		{"parallel", HostParallel},
-	}
-	for _, b := range kernels.AllWithExtensions() {
-		for _, raw := range testGraphs() {
-			g := PrepareGraph(b, raw)
-			for _, mode := range modes {
-				csr, err := Run(b, g, Config{Tasks: 4, HostExec: mode.h, Layout: LayoutCSR})
-				if err != nil {
-					t.Fatalf("%s/%s/%s csr: %v", b.Name, raw.Name, mode.name, err)
-				}
-				sell, err := Run(b, g, Config{Tasks: 4, HostExec: mode.h, Layout: LayoutSell})
-				if err != nil {
-					t.Fatalf("%s/%s/%s sell: %v", b.Name, raw.Name, mode.name, err)
-				}
-				if err := Verify(b, g, sell); err != nil {
-					t.Errorf("%s/%s/%s sell: %v", b.Name, raw.Name, mode.name, err)
-				}
-				var ci, si map[string][]int32
-				var cf, sf map[string][]float32
-				if b.Prog.WLInit == ir.WLNone {
-					ci, cf = snapshotOutputs(csr)
-					si, sf = snapshotOutputs(sell)
-				} else {
-					ci, cf = semanticOutputs(t, b, g, csr)
-					si, sf = semanticOutputs(t, b, g, sell)
-				}
-				if !reflect.DeepEqual(ci, si) || !reflect.DeepEqual(cf, sf) {
-					t.Errorf("%s/%s/%s: outputs diverge between csr and sell layouts",
-						b.Name, raw.Name, mode.name)
-				}
-				if csr.Layout != "csr" || csr.Stats.SellColumns != 0 {
-					t.Errorf("%s/%s/%s: csr run reports layout %q with %d sell columns",
-						b.Name, raw.Name, mode.name, csr.Layout, csr.Stats.SellColumns)
-				}
-				if b.OrderSensitive && sell.Layout != "csr" {
-					t.Errorf("%s/%s/%s: order-sensitive kernel not pinned to csr (got %q)",
-						b.Name, raw.Name, mode.name, sell.Layout)
-				}
-			}
-		}
-	}
-}
 
 // TestSellDensePathEngages asserts the forced SELL layout actually routes
 // work through the dense column loop on the topology-driven kernels — a
@@ -103,10 +20,7 @@ func TestSellDensePathEngages(t *testing.T) {
 	dense := []string{"cc", "tri", "mis", "pr", "mst"}
 	g0 := testGraphs()[1] // rmat: skewed degrees, the layout's target
 	for _, name := range dense {
-		b, err := kernels.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := mustKernel(t, name)
 		g := PrepareGraph(b, g0)
 		res, err := Run(b, g, Config{Tasks: 4, Layout: LayoutSell})
 		if err != nil {
@@ -189,10 +103,8 @@ func TestSellMismatchedCFallsBack(t *testing.T) {
 	if res.Stats.SellColumns != 0 {
 		t.Errorf("C=4 layout on width-16 target took the dense path (%d columns)", res.Stats.SellColumns)
 	}
-	ci, cf := snapshotOutputs(csr)
-	si, sf := snapshotOutputs(res)
-	if !reflect.DeepEqual(ci, si) || !reflect.DeepEqual(cf, sf) {
-		t.Error("outputs diverge under inert sell attachment")
+	if err := snapshot(csr, nil).diff(snapshot(res, nil), fArrays, nil); err != nil {
+		t.Errorf("outputs diverge under inert sell attachment: %v", err)
 	}
 }
 
@@ -218,10 +130,8 @@ func TestSellComposesWithRecovery(t *testing.T) {
 	if res.Layout != "sell" {
 		t.Fatalf("layout = %q, want sell", res.Layout)
 	}
-	ci, cf := snapshotOutputs(csr)
-	si, sf := snapshotOutputs(res)
-	if !reflect.DeepEqual(ci, si) || !reflect.DeepEqual(cf, sf) {
-		t.Error("outputs diverge between csr and checkpointed sell run")
+	if err := snapshot(csr, nil).diff(snapshot(res, nil), fArrays, nil); err != nil {
+		t.Errorf("outputs diverge between csr and checkpointed sell run: %v", err)
 	}
 }
 
@@ -259,10 +169,8 @@ func TestSellComposesWithEnginePooling(t *testing.T) {
 	if third.Layout != "sell" || third.Stats.SellColumns == 0 {
 		t.Errorf("pooled sell run: layout %q, %d columns", third.Layout, third.Stats.SellColumns)
 	}
-	fi, ff := snapshotOutputs(first)
-	ti, tf := snapshotOutputs(third)
-	if !reflect.DeepEqual(fi, ti) || !reflect.DeepEqual(ff, tf) {
-		t.Error("pooled sell rerun diverges from fresh sell run")
+	if err := snapshot(first, nil).diff(snapshot(third, nil), fArrays, nil); err != nil {
+		t.Errorf("pooled sell rerun diverges from fresh sell run: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/opt"
 	"repro/internal/vec"
@@ -24,20 +23,6 @@ func mustParseOpts(t *testing.T, s string) opt.Options {
 // pin its semantics: full correctness, AVX1-like feature set (no gathers,
 // scatters or mask registers), and a SIMD win over serial on the ARM machine
 // model despite emulated gathers.
-
-func TestNEONAllKernelsCorrect(t *testing.T) {
-	raw := graph.RMAT(8, 8, 16, 5)
-	for _, b := range kernels.All() {
-		g := PrepareGraph(b, raw)
-		if _, err := RunVerified(b, g, Config{
-			Machine: machine.ARM64(),
-			Target:  vec.TargetNEON4,
-			Tasks:   4,
-		}); err != nil {
-			t.Errorf("neon: %v", err)
-		}
-	}
-}
 
 func TestNEONFeatureSet(t *testing.T) {
 	for _, tgt := range []vec.Target{vec.TargetNEON4, vec.TargetNEON8} {
@@ -65,10 +50,7 @@ func TestNEONFeatureSet(t *testing.T) {
 
 func TestNEONBeatsSerialOnARM(t *testing.T) {
 	g := graph.Random(4096, 32768, 16, 9)
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	m := machine.ARM64()
 	src := g.MaxDegreeNode()
 	serial, err := Run(b, g, func() Config {
@@ -118,10 +100,7 @@ func TestARMByName(t *testing.T) {
 // TestKCoreExtensionEndToEnd runs the k-core extension through the full
 // pipeline on all inputs and optimization extremes.
 func TestKCoreExtensionEndToEnd(t *testing.T) {
-	b, err := kernels.ByName("kcore")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "kcore")
 	for _, raw := range graph.Suite(graph.ScaleTest, 3) {
 		g := PrepareGraph(b, raw)
 		for _, opts := range []string{"none", "all"} {
@@ -136,10 +115,7 @@ func TestKCoreExtensionEndToEnd(t *testing.T) {
 // TestPRDeltaExtensionEndToEnd verifies residual PageRank across inputs and
 // optimization extremes.
 func TestPRDeltaExtensionEndToEnd(t *testing.T) {
-	b, err := kernels.ByName("pr-delta")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "pr-delta")
 	for _, raw := range graph.Suite(graph.ScaleTest, 5) {
 		for _, opts := range []string{"none", "all"} {
 			o := mustParseOpts(t, opts)

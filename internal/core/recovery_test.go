@@ -9,122 +9,12 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/kernels"
-	"repro/internal/machine"
-	"repro/internal/spmd"
 )
 
 // recoveryGraph is small enough for many repeated runs but iterates enough
 // pipe-loop rounds for checkpoints, injected faults and rollbacks to occur.
 func recoveryGraph() *graph.CSR {
 	return graph.Random(400, 2400, 16, 3)
-}
-
-// TestRecoveryBitIdentical is the tentpole differential gate for the recovery
-// layer: for every benchmark and both deferred execution modes, a run that is
-// hit by injected transient faults, rolls back to checkpoints and re-executes
-// must end bit-identical — outputs, modeled cycles, and the full statistics
-// counters — to an undisturbed run. Rollback must be invisible in everything
-// except the recovery counters, which the test requires to be non-zero
-// somewhere in the sweep (so it cannot pass vacuously with injection
-// misconfigured).
-//
-// Each kernel also runs on a reused engine — one that has just served a
-// different kernel on a larger graph, checkpointing and rolling back, with
-// only ResetAll in between, so its recovery point's buffers and the cache
-// model's mirror still hold that run's data. With and without injected
-// rollbacks it must match the fresh engine in outputs, cycles, statistics and
-// the recovery counters.
-func TestRecoveryBitIdentical(t *testing.T) {
-	g0 := recoveryGraph()
-	big0 := graph.Random(900, 6000, 16, 5)
-	m := machine.Intel8()
-	suite := kernels.All()
-	totalRollbacks := 0
-	for i, b := range suite {
-		g := PrepareGraph(b, g0)
-		other := suite[(i+1)%len(suite)]
-		otherG := PrepareGraph(other, big0)
-		for _, mode := range []HostExec{HostCooperative, HostParallel} {
-			clean, err := Run(b, g, Config{Tasks: 4, HostExec: mode})
-			if err != nil {
-				t.Fatalf("%s mode %d clean: %v", b.Name, mode, err)
-			}
-			ci, cf := snapshotOutputs(clean)
-
-			recovering := func(inject bool) Config {
-				cfg := Config{Machine: m, Tasks: 4, HostExec: mode, CheckpointEvery: 1, MaxRollbacks: 200}
-				if inject {
-					cfg.Inject = fault.NewInjector(42, fault.Config{Transient: 0.15})
-				}
-				return cfg
-			}
-			rec, err := Run(b, g, recovering(true))
-			if err != nil {
-				t.Fatalf("%s mode %d recovering: %v", b.Name, mode, err)
-			}
-			totalRollbacks += rec.Recovery.Rollbacks
-
-			quiet, err := Run(b, g, recovering(false))
-			if err != nil {
-				t.Fatalf("%s mode %d checkpointing: %v", b.Name, mode, err)
-			}
-			pooled := spmd.New(m, m.PreferredTarget, 4)
-			for _, fresh := range []*Result{quiet, rec} {
-				inject := fresh == rec
-				warm := recovering(true)
-				warm.Engine = pooled
-				if _, err := Run(other, otherG, warm); err != nil {
-					t.Fatalf("%s mode %d: warming the engine with %s: %v", b.Name, mode, other.Name, err)
-				}
-				cfg := recovering(inject)
-				cfg.Engine = pooled
-				reused, err := Run(b, g, cfg)
-				if err != nil {
-					t.Fatalf("%s mode %d inject=%v on a reused engine: %v", b.Name, mode, inject, err)
-				}
-				if reused.Engine != pooled {
-					t.Fatalf("%s mode %d: run did not reuse the supplied engine", b.Name, mode)
-				}
-				if fc, rc := fresh.Engine.TimeCycles(), reused.Engine.TimeCycles(); fc != rc || rc != clean.Engine.TimeCycles() {
-					t.Errorf("%s mode %d inject=%v: cycles diverge: fresh %v, reused engine %v, clean %v",
-						b.Name, mode, inject, fc, rc, clean.Engine.TimeCycles())
-				}
-				if !reflect.DeepEqual(fresh.Stats, reused.Stats) {
-					t.Errorf("%s mode %d inject=%v: stats diverge on a reused engine:\nfresh  %+v\nreused %+v",
-						b.Name, mode, inject, fresh.Stats, reused.Stats)
-				}
-				if fresh.Recovery != reused.Recovery {
-					t.Errorf("%s mode %d inject=%v: recovery counters diverge on a reused engine: fresh %+v, reused %+v",
-						b.Name, mode, inject, fresh.Recovery, reused.Recovery)
-				}
-				ri, rf := snapshotOutputs(reused)
-				if !reflect.DeepEqual(ci, ri) || !reflect.DeepEqual(cf, rf) {
-					t.Errorf("%s mode %d inject=%v: outputs on a reused engine diverge from the clean run", b.Name, mode, inject)
-				}
-			}
-
-			if cc, rc := clean.Engine.TimeCycles(), rec.Engine.TimeCycles(); cc != rc {
-				t.Errorf("%s mode %d: modeled cycles diverge: clean %v, recovered %v",
-					b.Name, mode, cc, rc)
-			}
-			if !reflect.DeepEqual(clean.Stats, rec.Stats) {
-				t.Errorf("%s mode %d: stats diverge:\nclean     %+v\nrecovered %+v",
-					b.Name, mode, clean.Stats, rec.Stats)
-			}
-			ri, rf := snapshotOutputs(rec)
-			if !reflect.DeepEqual(ci, ri) || !reflect.DeepEqual(cf, rf) {
-				t.Errorf("%s mode %d: outputs diverge between clean and recovered run",
-					b.Name, mode)
-			}
-			if err := Verify(b, g, rec); err != nil {
-				t.Errorf("%s mode %d: recovered output rejected: %v", b.Name, mode, err)
-			}
-		}
-	}
-	if totalRollbacks == 0 {
-		t.Error("no rollbacks occurred anywhere in the sweep; injection is not exercising recovery")
-	}
 }
 
 // TestRollbackLeavesSharedGraphUntouched is the regression test for a data
@@ -136,10 +26,7 @@ func TestRecoveryBitIdentical(t *testing.T) {
 // roll back repeatedly; `go test -race` (make race) fails on that write if it
 // ever comes back.
 func TestRollbackLeavesSharedGraphUntouched(t *testing.T) {
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := graph.Road(32, 32, 16, 1)
 	before := graph.Hash(g)
 
@@ -194,10 +81,7 @@ func TestRollbackLeavesSharedGraphUntouched(t *testing.T) {
 // escape as the typed transient-fault error — recovery degrades, it never
 // spins forever.
 func TestRecoveryExhaustionEscalates(t *testing.T) {
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := PrepareGraph(b, recoveryGraph())
 	res, err := Run(b, g, Config{
 		Tasks:           4,
@@ -251,12 +135,10 @@ func flipConfig(seed uint64, verify bool) Config {
 // deterministically seeded; the scan makes the test robust to kernel
 // evolution, not to chance.
 func TestBitFlipDetectedAndRecovered(t *testing.T) {
+	t.Parallel()
 	g0 := recoveryGraph()
 	for _, name := range []string{"bfs-wl", "sssp-nf", "cc", "kcore"} {
-		b, err := kernels.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := mustKernel(t, name)
 		g := PrepareGraph(b, g0)
 		found := false
 		for seed := uint64(1); seed <= 60 && !found; seed++ {
@@ -296,10 +178,7 @@ func TestBitFlipDetectedAndRecovered(t *testing.T) {
 // checkpoint count and nothing else; the counters live outside spmd.Stats so
 // they cannot perturb differential stats comparisons.
 func TestRecoveryCountersSurfaced(t *testing.T) {
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := PrepareGraph(b, recoveryGraph())
 	res, err := Run(b, g, Config{Tasks: 4, HostExec: HostCooperative, CheckpointEvery: 2, VerifyInvariants: true})
 	if err != nil {

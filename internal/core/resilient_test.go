@@ -75,10 +75,7 @@ func TestInjectionCampaignAllBenchmarks(t *testing.T) {
 // the fallback must serve output identical to the scalar baseline run
 // directly.
 func TestFallbackMatchesScalarBaseline(t *testing.T) {
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := graph.Random(150, 900, 8, 4)
 	g.SortAdjacency()
 
@@ -129,10 +126,7 @@ func TestFallbackMatchesScalarBaseline(t *testing.T) {
 }
 
 func TestBudgetThroughConfig(t *testing.T) {
-	b, err := kernels.ByName("bfs-wl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustKernel(t, "bfs-wl")
 	g := graph.Road(8, 8, 4, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())

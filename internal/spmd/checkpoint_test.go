@@ -99,51 +99,53 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 // TestCheckpointArrayAccessors covers the per-array views used by invariant
 // validators for last-checkpoint comparisons.
 func TestCheckpointArrayAccessors(t *testing.T) {
-	e := newTestEngine(1)
-	a := e.AllocI("a", 8)
-	f := e.AllocF("f", 4)
-	shared := []int32{7, 8, 9}
-	b := e.BindI("b", shared)
-	for i := range a.I {
-		a.I[i] = int32(i * 3)
-	}
-	for i := range f.F {
-		f.F[i] = float32(i) / 2
-	}
-	if e.CheckpointI(a) != nil || e.CheckpointF(f) != nil {
-		t.Error("accessor returned data before any Checkpoint")
-	}
-	e.Checkpoint()
-	if got := e.CheckpointI(a); !reflect.DeepEqual(got, a.I) {
-		t.Errorf("CheckpointI(a) = %v, want %v", got, a.I)
-	}
-	if got := e.CheckpointF(f); !reflect.DeepEqual(got, f.F) {
-		t.Errorf("CheckpointF(f) = %v, want %v", got, f.F)
-	}
-	if e.CheckpointI(f) != nil || e.CheckpointF(a) != nil {
-		t.Error("typed accessor returned data for an array of the other type")
-	}
-	if e.CheckpointI(b) != nil {
-		t.Error("accessor returned data for a bound array")
-	}
-	// Snapshot is a copy, not an alias.
-	a.I[0] = 42
-	if e.CheckpointI(a)[0] == 42 {
-		t.Error("checkpoint aliases live array storage")
-	}
-	// Restore rewinds allocated arrays and never writes a bound one.
-	shared[1] = -1
-	e.Restore()
-	if a.I[0] != 0 {
-		t.Errorf("Restore left a.I[0] = %d, want 0", a.I[0])
-	}
-	if shared[1] != -1 {
-		t.Error("Restore wrote to a bound array's caller-owned slice")
-	}
-	e.DropCheckpoint()
-	if e.HasCheckpoint() || e.CheckpointI(a) != nil {
-		t.Error("checkpoint still visible after DropCheckpoint")
-	}
+	eachExec(t, func(t *testing.T, mode Exec) {
+		e := newTestEngine(1, mode)
+		a := e.AllocI("a", 8)
+		f := e.AllocF("f", 4)
+		shared := []int32{7, 8, 9}
+		b := e.BindI("b", shared)
+		for i := range a.I {
+			a.I[i] = int32(i * 3)
+		}
+		for i := range f.F {
+			f.F[i] = float32(i) / 2
+		}
+		if e.CheckpointI(a) != nil || e.CheckpointF(f) != nil {
+			t.Error("accessor returned data before any Checkpoint")
+		}
+		e.Checkpoint()
+		if got := e.CheckpointI(a); !reflect.DeepEqual(got, a.I) {
+			t.Errorf("CheckpointI(a) = %v, want %v", got, a.I)
+		}
+		if got := e.CheckpointF(f); !reflect.DeepEqual(got, f.F) {
+			t.Errorf("CheckpointF(f) = %v, want %v", got, f.F)
+		}
+		if e.CheckpointI(f) != nil || e.CheckpointF(a) != nil {
+			t.Error("typed accessor returned data for an array of the other type")
+		}
+		if e.CheckpointI(b) != nil {
+			t.Error("accessor returned data for a bound array")
+		}
+		// Snapshot is a copy, not an alias.
+		a.I[0] = 42
+		if e.CheckpointI(a)[0] == 42 {
+			t.Error("checkpoint aliases live array storage")
+		}
+		// Restore rewinds allocated arrays and never writes a bound one.
+		shared[1] = -1
+		e.Restore()
+		if a.I[0] != 0 {
+			t.Errorf("Restore left a.I[0] = %d, want 0", a.I[0])
+		}
+		if shared[1] != -1 {
+			t.Error("Restore wrote to a bound array's caller-owned slice")
+		}
+		e.DropCheckpoint()
+		if e.HasCheckpoint() || e.CheckpointI(a) != nil {
+			t.Error("checkpoint still visible after DropCheckpoint")
+		}
+	})
 }
 
 // TestCheckpointSurvivesResetAllAsBuffersOnly pins what a pooled engine

@@ -2,7 +2,6 @@ package spmd
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -162,24 +161,9 @@ type Engine struct {
 	obsBase iterBase   // counter snapshot behind the previous metrics row
 }
 
-// ExecFromEnv returns the execution mode selected by the EGACS_HOST_EXEC
-// environment variable ("parallel", "cooperative", "live"); ExecLive when
-// unset or unrecognized. CI uses it to force every engine onto the parallel
-// scheduler under the race detector.
-func ExecFromEnv() Exec {
-	switch os.Getenv("EGACS_HOST_EXEC") {
-	case "parallel":
-		return ExecParallel
-	case "cooperative":
-		return ExecDeferred
-	default:
-		return ExecLive
-	}
-}
-
 // New creates an engine for the given machine, target and task count. A task
-// count of 0 selects the machine's default. The execution mode defaults to
-// EGACS_HOST_EXEC's choice (live when unset); callers override Exec directly.
+// count of 0 selects the machine's default. The execution mode is ExecLive;
+// callers override Exec directly.
 func New(cfg *machine.Config, target vec.Target, tasks int) *Engine {
 	if tasks <= 0 {
 		tasks = cfg.DefaultTasks
@@ -189,7 +173,6 @@ func New(cfg *machine.Config, target vec.Target, tasks int) *Engine {
 		scale = 1
 	}
 	e := &Engine{
-		Exec:       ExecFromEnv(),
 		Machine:    cfg,
 		Target:     target,
 		TaskSys:    Pthread, // EGACS default: pinned pthread tasking
@@ -332,7 +315,7 @@ func (e *Engine) ResetAll(target vec.Target, tasks int) {
 	if e.StallScale = e.Machine.StallHideFactor; e.StallScale == 0 {
 		e.StallScale = 1
 	}
-	e.Exec = ExecFromEnv()
+	e.Exec = ExecLive
 	e.Pager = nil
 	e.Budget = fault.Budget{}
 	e.Inject = nil
