@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz gen gen-drift bench bench-diff bench-smoke benchmark-smoke trace-smoke serve-smoke serve-stress chaos crash-chaos profile ci clean
+.PHONY: build vet test race deps-check fuzz gen gen-drift bench bench-diff bench-smoke benchmark-smoke trace-smoke serve-smoke serve-stress chaos crash-chaos profile ci clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Layering gate: the baseline frameworks (Ligra, GraphIt, Galois) are
+# comparison systems for Fig. 4 / Table X, read only by internal/bench. The
+# runtime, the serving layer and the daemon must not link them (CI job).
+deps-check:
+	@deps=$$($(GO) list -deps ./internal/core ./internal/serve ./cmd/egacs-serve) || exit 1; \
+	if echo "$$deps" | grep -qx 'repro/internal/baselines'; then \
+		echo 'deps-check: internal/core, internal/serve or cmd/egacs-serve imports repro/internal/baselines'; exit 1; \
+	fi
 
 # Short fuzz pass over the graph readers, the service request decoder, the
 # interp-vs-compiled backend differential (random graph/kernel/config draws
@@ -119,7 +128,7 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof cpu.prof"
 
-ci: vet build gen-drift race bench-smoke benchmark-smoke bench-diff trace-smoke serve-smoke serve-stress
+ci: vet build deps-check gen-drift race bench-smoke benchmark-smoke bench-diff trace-smoke serve-smoke serve-stress
 
 clean:
 	$(GO) clean ./...

@@ -50,11 +50,7 @@ func TestCrashRecoveryAnywhere(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-recovery harness skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "egacs-serve")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 
 	// The daemon's boot graph (-input road -scale test -seed 7), replicated
 	// here so expected post-recovery states can be computed locally.

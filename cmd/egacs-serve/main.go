@@ -4,8 +4,8 @@
 // lookups) over HTTP/JSON. Every request runs on a pooled engine through the
 // resilient execution chain with its own deadline and budget; admission
 // control bounds the work queue with per-tenant caps, and under overload the
-// server degrades gracefully (shed verification, then serve scalar, then
-// reject with 429/503) instead of falling over.
+// server degrades gracefully (shed verification, then serve the serial
+// reference, then reject with 429/503) instead of falling over.
 //
 // Examples:
 //
@@ -73,7 +73,7 @@ func main() {
 		stallWin   = flag.Int("stall-window", 256, "identical-frontier iterations before non-convergence")
 		ckEvery    = flag.Int("checkpoint-every", 16, "checkpoint pipe loops every N iterations (recoverable faults roll back)")
 		shedAt     = flag.Float64("shed-verify-at", 0.5, "occupancy at which output verification is shed")
-		scalarAt   = flag.Float64("scalar-at", 0.8, "occupancy at which queries serve from the scalar ladder")
+		scalarAt   = flag.Float64("scalar-at", 0.8, "occupancy at which queries serve the serial reference instead of the vector engine")
 
 		flipProb   = flag.Float64("flip-inject", 0, "chaos: per-request silent bit-flip probability")
 		transProb  = flag.Float64("transient-inject", 0, "chaos: per-request transient-fault probability")
@@ -177,6 +177,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "egacs-serve: boot compaction folded replayed batches, epoch %d\n", epoch)
 	}
 
+	// Catch SIGTERM before the readiness handshake: a signal sent the instant
+	// the listen line is read must drain the daemon, not kill it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	fail(err)
 	// The bound address on stdout is the daemon's readiness handshake: with
@@ -188,8 +193,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case got := <-sig:
 		fmt.Fprintf(os.Stderr, "egacs-serve: %v, draining (timeout %v)\n", got, *drainTO)

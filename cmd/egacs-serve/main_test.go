@@ -25,11 +25,7 @@ func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon smoke test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "egacs-serve")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 
 	metrics := filepath.Join(t.TempDir(), "metrics.jsonl")
 	cmd := exec.Command(bin,
@@ -153,6 +149,17 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// buildDaemon builds the real egacs-serve binary into a test temp dir.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "egacs-serve")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 func waitReady(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -167,4 +174,44 @@ func waitReady(t *testing.T, base string) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatal("daemon never became ready")
+}
+
+// TestSIGTERMAtReadiness sends SIGTERM the instant the readiness line is read,
+// over many boots, and requires every daemon to drain and exit 0. A daemon
+// that announces readiness before it catches the signal dies of it instead
+// whenever the signal lands in that gap.
+func TestSIGTERMAtReadiness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("daemon boot loop skipped in -short mode")
+	}
+	bin := buildDaemon(t)
+	const boots = 10
+	for i := 0; i < boots; i++ {
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-input", "road", "-scale", "test",
+			"-drain-timeout", "5s")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bufio.NewReader(stdout).ReadString('\n'); err != nil {
+			cmd.Process.Kill()
+			t.Fatalf("boot %d: reading listen line: %v\nstderr: %s", i, err, stderr.String())
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		go io.Copy(io.Discard, stdout)
+		err = waitExit(cmd, 20*time.Second)
+		if sig, ok := exitSignal(err); ok {
+			t.Fatalf("boot %d: daemon killed by %v at readiness instead of draining\nstderr: %s", i, sig, stderr.String())
+		}
+		if err != nil || !strings.Contains(stderr.String(), "drained, bye") {
+			t.Fatalf("boot %d: daemon did not drain cleanly: %v\nstderr: %s", i, err, stderr.String())
+		}
+	}
 }

@@ -70,7 +70,7 @@ func main() {
 		maxIters  = flag.Int("max-iters", 0, "abort any pipe loop after this many iterations (0 = unlimited)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock deadline for the run, e.g. 30s (0 = none)")
 		stallWin  = flag.Int("stall-window", 0, "identical-frontier iterations before declaring non-convergence (0 = off)")
-		fallback  = flag.Bool("fallback", false, "degrade gracefully: retry, then scalar baselines, then serial reference")
+		fallback  = flag.Bool("fallback", false, "degrade gracefully: retry the vector run once, then serve the serial reference")
 		ckEvery   = flag.Int("checkpoint-every", 0, "checkpoint pipe loops every N iterations and roll back on recoverable faults (0 = off)")
 		maxRB     = flag.Int("max-rollbacks", 0, "re-executions per checkpoint before the fault escalates (0 = default 3)")
 		verifyInv = flag.Bool("verify-invariants", false, "validate kernel invariants before each checkpoint (detects silent corruption)")
@@ -326,7 +326,7 @@ func runResilient(bench *kernels.Benchmark, g *graph.CSR, cfg core.Config, jsonO
 			VerifyError: verr,
 			Verified:    verr == "",
 		}
-		for _, aerr := range res.Attempts {
+		for _, aerr := range res.Errors() {
 			rep.Attempts = append(rep.Attempts, aerr.Error())
 		}
 		for _, a := range res.History {

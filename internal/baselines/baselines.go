@@ -138,10 +138,6 @@ func Frameworks() []*Framework {
 	return []*Framework{Ligra(), GraphIt(), Galois()}
 }
 
-// init-time registration of Galois MST (kept separate: it needs the
-// weight-encoding helper shared with the kernels package's constraints).
-func init() {}
-
 // Supports reports whether the framework implements the benchmark.
 func (f *Framework) Supports(bench string) bool {
 	_, ok := f.algos[bench]

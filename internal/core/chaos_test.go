@@ -102,7 +102,7 @@ func TestChaos(t *testing.T) {
 				// a taxonomy fault or the verified-vector wrapper's output
 				// rejection. Anything else is an escape from the failure
 				// model.
-				for _, a := range res.Attempts {
+				for _, a := range res.Errors() {
 					if !chaosTyped(a) && !strings.Contains(a.Error(), "output verification") {
 						t.Errorf("%s rate#%d seed %d: untyped attempt error: %v", b.Name, ri, seed, a)
 					}

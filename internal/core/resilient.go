@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/baselines"
 	"repro/internal/graph"
 	"repro/internal/kernels"
 )
@@ -12,14 +11,13 @@ import (
 // RunResilient executes a benchmark with graceful degradation: the vector
 // engine first (which, with Config.CheckpointEvery set, absorbs recoverable
 // faults via checkpoint rollback before giving up; retried once since
-// injected faults are drawn per-site and may clear), then each scalar
-// baseline framework that implements the benchmark, then the benchmark's
-// serial reference. The result reports which path served, the error of every
-// failed attempt, and per-attempt cost (modeled cycles, wall time,
-// checkpoint/rollback counters).
+// injected faults are drawn per-site and may clear), then the benchmark's
+// serial reference. The result reports which path served and every attempt
+// with its error and cost (modeled cycles, wall time, checkpoint/rollback
+// counters).
 //
 // The graph must already be prepared (see PrepareGraph). Budget and injector
-// settings in cfg apply to the vector attempts only — fallbacks exist
+// settings in cfg apply to the vector attempts only — the reference exists
 // precisely to survive them.
 func RunResilient(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.ResilientResult, error) {
 	return RunResilientCtx(context.Background(), b, g, cfg)
@@ -28,7 +26,7 @@ func RunResilient(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.Resi
 // RunResilientVerified is RunResilient with the vector output additionally
 // checked against the benchmark's serial reference before it may serve:
 // corruption that slipped past the invariant validators fails the attempt and
-// degrades to the fallback ladder instead of serving silently wrong results.
+// degrades to the reference instead of serving silently wrong results.
 // This is the chaos-testing entry point — every run ends in a verified output
 // or a typed error.
 func RunResilientVerified(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.ResilientResult, error) {
@@ -52,13 +50,14 @@ func RunResilientVerifiedCtx(ctx context.Context, b *kernels.Benchmark, g *graph
 	return runResilient(ctx, b, g, cfg, true, true)
 }
 
-// RunFallbacks serves the benchmark from the scalar ladder only — baseline
-// frameworks in presentation order, then the serial reference — without
-// compiling or running the vector engine at all. This is the overload
-// degradation path of the serving layer: scalar baselines cost a small
-// fraction of a simulated vector run's wall-clock time, so a saturated
-// server sheds load by serving scalarly rather than rejecting.
-func RunFallbacks(ctx context.Context, b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.ResilientResult, error) {
+// RunReference serves the benchmark from its serial reference alone, without
+// compiling the program or touching an engine. This is the overload
+// degradation path of the serving layer: the reference is native Go with no
+// machine model behind it, an order of magnitude or more cheaper in host time
+// than a simulated vector run, and it is the oracle every vector output is
+// verified against, so a saturated server sheds load by serving it rather
+// than rejecting.
+func RunReference(ctx context.Context, b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.ResilientResult, error) {
 	return runResilient(ctx, b, g, cfg, false, false)
 }
 
@@ -84,8 +83,7 @@ func runResilient(ctx context.Context, b *kernels.Benchmark, g *graph.CSR, cfg C
 			return out, cost, nil
 		}
 	}
-	return kernels.RunResilient(ctx, b, g, runParams(b, g, cfg), cfg.Src,
-		vector, baselineFallbacks(b, cfg))
+	return kernels.RunResilient(ctx, b, g, runParams(b, g, cfg), cfg.Src, vector)
 }
 
 // costOf maps a (possibly partial) run result to the attempt cost RunResilient
@@ -115,29 +113,6 @@ func outputOf(b *kernels.Benchmark, res *Result) *kernels.RunOutput {
 		} else if f := res.Instance.ArrayF(d.Name); f != nil {
 			out.F[d.Name] = f
 		}
-	}
-	return out
-}
-
-// baselineFallbacks wraps the scalar baseline frameworks that implement b as
-// fallback runners, in framework presentation order.
-func baselineFallbacks(b *kernels.Benchmark, cfg Config) []kernels.FallbackRunner {
-	var out []kernels.FallbackRunner
-	for _, fw := range baselines.Frameworks() {
-		fw := fw
-		if !fw.Supports(b.Name) {
-			continue
-		}
-		out = append(out, kernels.FallbackRunner{
-			Name: fw.Name,
-			Run: func(b *kernels.Benchmark, g *graph.CSR, src int32) (*kernels.RunOutput, error) {
-				res, err := fw.Run(b.Name, g, cfg.Machine, cfg.Tasks, src)
-				if err != nil {
-					return nil, err
-				}
-				return &kernels.RunOutput{I: res.OutI, F: res.OutF}, nil
-			},
-		})
 	}
 	return out
 }

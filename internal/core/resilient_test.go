@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/baselines"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -44,7 +43,7 @@ func TestInjectionCampaignAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("degradation chain exhausted: %v", err)
 			}
-			for _, aerr := range r1.Attempts {
+			for _, aerr := range r1.Errors() {
 				if !typed(aerr) {
 					t.Errorf("attempt error outside the taxonomy: %v", aerr)
 				}
@@ -57,24 +56,25 @@ func TestInjectionCampaignAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if trace1 != trace2 || r1.Path != r2.Path || len(r1.Attempts) != len(r2.Attempts) {
+			e1, e2 := r1.Errors(), r2.Errors()
+			if trace1 != trace2 || r1.Path != r2.Path || len(e1) != len(e2) {
 				t.Fatalf("seed 77 not reproducible: path %s/%s, %d/%d attempts",
-					r1.Path, r2.Path, len(r1.Attempts), len(r2.Attempts))
+					r1.Path, r2.Path, len(e1), len(e2))
 			}
-			for i := range r1.Attempts {
-				if r1.Attempts[i].Error() != r2.Attempts[i].Error() {
+			for i := range e1 {
+				if e1[i].Error() != e2[i].Error() {
 					t.Errorf("attempt %d differs across identical seeds:\n%v\nvs\n%v",
-						i, r1.Attempts[i], r2.Attempts[i])
+						i, e1[i], e2[i])
 				}
 			}
 		})
 	}
 }
 
-// With certain injection the vector path must fail with a typed error and
-// the fallback must serve output identical to the scalar baseline run
-// directly.
-func TestFallbackMatchesScalarBaseline(t *testing.T) {
+// With certain injection the vector path must fail with a typed error on
+// both attempts and the reference must serve, bit-equal to the benchmark's
+// serial Reference run directly.
+func TestFallbackMatchesReference(t *testing.T) {
 	b := mustKernel(t, "bfs-wl")
 	g := graph.Random(150, 900, 8, 4)
 	g.SortAdjacency()
@@ -84,43 +84,27 @@ func TestFallbackMatchesScalarBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded() {
-		t.Fatalf("vector path served despite certain injection (path %s)", res.Path)
+	if res.Path != "reference" || !res.Degraded() {
+		t.Fatalf("served by %s despite certain injection, want reference", res.Path)
 	}
-	if len(res.Attempts) < 2 {
-		t.Errorf("vector attempt not retried: %d attempts", len(res.Attempts))
+	errs := res.Errors()
+	if len(errs) != 2 {
+		t.Errorf("vector attempt not retried: %d failed attempts", len(errs))
 	}
-	for _, aerr := range res.Attempts[:2] {
+	for _, aerr := range errs {
 		if !errors.Is(aerr, fault.ErrOutOfBounds) {
 			t.Errorf("injected gather fault surfaced as %v", aerr)
 		}
 	}
 
-	var fw *baselines.Framework
-	for _, f := range baselines.Frameworks() {
-		if f.Supports(b.Name) {
-			fw = f
-			break
-		}
-	}
-	if fw == nil {
-		t.Fatal("no baseline framework supports bfs-wl")
-	}
-	if res.Path != fw.Name {
-		t.Fatalf("served by %s, want first supporting framework %s", res.Path, fw.Name)
-	}
-	cfgd := cfg.withDefaults()
-	direct, err := fw.Run(b.Name, g, cfgd.Machine, cfgd.Tasks, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := res.Output.GetI("lvl"), direct.OutI["lvl"]
+	direct := b.Reference(g, runParams(b, g, cfg), 0)
+	got, want := res.Output.GetI("lvl"), direct.GetI("lvl")
 	if len(got) != len(want) {
-		t.Fatalf("fallback lvl has %d entries, direct run %d", len(got), len(want))
+		t.Fatalf("served lvl has %d entries, direct reference %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("fallback lvl[%d] = %d, direct baseline %d", i, got[i], want[i])
+			t.Fatalf("served lvl[%d] = %d, direct reference %d", i, got[i], want[i])
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // RunOutput is one run's output arrays, keyed by the program's array names
-// ("lvl", "dist", "comp", "rank", ...). The vector engine, the scalar
-// baseline frameworks and the serial references all report through it, so
-// degradation is transparent to result consumers.
+// ("lvl", "dist", "comp", "rank", ...). The vector engine and the serial
+// references both report through it, so degradation is transparent to result
+// consumers.
 type RunOutput struct {
 	I map[string][]int32
 	F map[string][]float32
@@ -32,18 +32,6 @@ func (o *RunOutput) Verify(b *Benchmark, g *graph.CSR, src int32) error {
 		return nil
 	}
 	return b.Verify(g, o.GetI, o.GetF, src)
-}
-
-// FallbackRunner is one scalar implementation that can serve a benchmark
-// when the vector engine fails. The indirection keeps this package free of a
-// dependency on internal/baselines (which itself imports kernels); the core
-// driver wires the baseline frameworks in.
-type FallbackRunner struct {
-	// Name identifies the path in ResilientResult.Path (e.g. "ligra").
-	Name string
-	// Run executes the benchmark scalarly; a nil func or an error moves the
-	// chain to the next fallback.
-	Run func(b *Benchmark, g *graph.CSR, src int32) (*RunOutput, error)
 }
 
 // RecoveryCounts reports checkpoint/rollback activity of one vector attempt,
@@ -67,15 +55,15 @@ type Cost struct {
 	Cycles   float64
 	Recovery RecoveryCounts
 	// Backend names the kernel backend a vector attempt executed on
-	// ("interp" or "compiled"); scalar fallbacks leave it empty.
+	// ("interp" or "compiled").
 	Backend string
 }
 
 // Attempt is one entry of a resilient run's execution history: every path
 // tried (including the one that served), its error (nil for the serving
 // attempt), its modeled cycles where the path models time (vector attempts;
-// scalar fallbacks and the reference report zero), host wall time, and the
-// attempt's checkpoint/rollback counters.
+// the reference reports zero), host wall time, and the attempt's
+// checkpoint/rollback counters.
 type Attempt struct {
 	Path     string
 	Err      error
@@ -83,31 +71,41 @@ type Attempt struct {
 	WallNS   int64
 	Recovery RecoveryCounts
 	// Backend is the kernel backend of a vector attempt ("interp" or
-	// "compiled"); empty for scalar fallbacks and the reference.
+	// "compiled"); empty for the reference.
 	Backend string
 }
 
 // ResilientResult reports which path of the degradation chain served a
-// resilient run, with the errors of every failed attempt.
+// resilient run, with every attempt it made.
 type ResilientResult struct {
 	Output *RunOutput
-	// Path is "vector", "vector-retry", a fallback's name, or "reference".
+	// Path is "vector", "vector-retry" or "reference".
 	Path string
-	// Attempts holds the error of each failed attempt, in order; empty when
-	// the first vector attempt succeeded.
-	Attempts []error
 	// History records every attempt in order — failed and serving alike —
-	// with per-attempt modeled cycles, wall time and recovery counters.
+	// with per-attempt error, modeled cycles, wall time and recovery counters.
 	History []Attempt
 }
 
-// Degraded reports whether a non-vector path served the result.
+// Errors returns the error of each failed attempt, in order; empty when the
+// first vector attempt succeeded.
+func (r *ResilientResult) Errors() []error {
+	var errs []error
+	for _, a := range r.History {
+		if a.Err != nil {
+			errs = append(errs, a.Err)
+		}
+	}
+	return errs
+}
+
+// Degraded reports whether the reference, not the vector engine, served the
+// result.
 func (r *ResilientResult) Degraded() bool {
 	return r.Path != "vector" && r.Path != "vector-retry"
 }
 
 // ServingBackend returns the kernel backend of the attempt that served the
-// result ("interp" or "compiled"); empty when a scalar path served.
+// result ("interp" or "compiled"); empty when the reference served.
 func (r *ResilientResult) ServingBackend() string {
 	for i := len(r.History) - 1; i >= 0; i-- {
 		if a := r.History[i]; a.Err == nil && a.Path == r.Path {
@@ -132,10 +130,10 @@ func (r *ResilientResult) TotalRecovery() RecoveryCounts {
 // RunResilient executes a benchmark with graceful degradation: the vector
 // attempt — which may itself absorb faults via checkpoint rollback before
 // failing — is retried once on failure (injected faults draw fresh variates
-// and may clear), then each fallback runs in order, and finally the
-// benchmark's serial Reference serves the result. Every attempt is recorded
-// in History with its cost; failures additionally land in Attempts. An error
-// returns only when every path is exhausted.
+// and may clear), and then the benchmark's serial Reference serves the
+// result. Every attempt is recorded in History with its cost. An error
+// returns only when both vector attempts failed and the benchmark declares
+// no Reference.
 //
 // ctx gates the chain between attempts: once it is done (a caller deadline
 // expired, or the client behind a request disconnected) no further path is
@@ -146,9 +144,9 @@ func (r *ResilientResult) TotalRecovery() RecoveryCounts {
 // A nil ctx disables the gate.
 //
 // A nil vector func skips the vector attempts entirely and serves from the
-// scalar ladder — the overload-degradation path of the serving layer.
+// reference — the overload-degradation path of the serving layer.
 func RunResilient(ctx context.Context, b *Benchmark, g *graph.CSR, params map[string]int32, src int32,
-	vector func() (*RunOutput, Cost, error), fallbacks []FallbackRunner) (*ResilientResult, error) {
+	vector func() (*RunOutput, Cost, error)) (*ResilientResult, error) {
 	res := &ResilientResult{}
 	record := func(path string, err error, cost Cost, start time.Time) {
 		res.History = append(res.History, Attempt{
@@ -156,9 +154,6 @@ func RunResilient(ctx context.Context, b *Benchmark, g *graph.CSR, params map[st
 			WallNS: time.Since(start).Nanoseconds(), Recovery: cost.Recovery,
 			Backend: cost.Backend,
 		})
-		if err != nil {
-			res.Attempts = append(res.Attempts, err)
-		}
 	}
 	cancelled := func() error {
 		if ctx == nil {
@@ -189,25 +184,6 @@ func RunResilient(ctx context.Context, b *Benchmark, g *graph.CSR, params map[st
 			}
 		}
 	}
-	for _, fb := range fallbacks {
-		if fb.Run == nil {
-			continue
-		}
-		if cerr := cancelled(); cerr != nil {
-			return res, cerr
-		}
-		start := time.Now()
-		out, err := fb.Run(b, g, src)
-		if err != nil {
-			err = fmt.Errorf("%s: %w", fb.Name, err)
-		}
-		record(fb.Name, err, Cost{}, start)
-		if err == nil {
-			res.Output = out
-			res.Path = fb.Name
-			return res, nil
-		}
-	}
 	if b.Reference != nil {
 		if cerr := cancelled(); cerr != nil {
 			return res, cerr
@@ -219,7 +195,7 @@ func RunResilient(ctx context.Context, b *Benchmark, g *graph.CSR, params map[st
 		return res, nil
 	}
 	return res, fmt.Errorf("kernels: %s: all execution paths failed: %w",
-		b.Name, errors.Join(res.Attempts...))
+		b.Name, errors.Join(res.Errors()...))
 }
 
 // refPri reproduces the InitHash priority initialization of the compiled MIS

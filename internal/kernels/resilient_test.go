@@ -61,46 +61,32 @@ func TestRunResilientChain(t *testing.T) {
 		}
 	}
 
-	res, err := RunResilient(context.Background(), b, g, nil, 0, failN(0), nil)
-	if err != nil || res.Path != "vector" || len(res.Attempts) != 0 {
-		t.Errorf("clean run: path=%s attempts=%d err=%v", res.Path, len(res.Attempts), err)
+	res, err := RunResilient(context.Background(), b, g, nil, 0, failN(0))
+	if err != nil || res.Path != "vector" || len(res.Errors()) != 0 {
+		t.Errorf("clean run: path=%s attempts=%d err=%v", res.Path, len(res.Errors()), err)
 	}
 
-	res, err = RunResilient(context.Background(), b, g, nil, 0, failN(1), nil)
-	if err != nil || res.Path != "vector-retry" || len(res.Attempts) != 1 {
-		t.Errorf("retry run: path=%s attempts=%d err=%v", res.Path, len(res.Attempts), err)
+	res, err = RunResilient(context.Background(), b, g, nil, 0, failN(1))
+	if err != nil || res.Path != "vector-retry" || len(res.Errors()) != 1 {
+		t.Errorf("retry run: path=%s attempts=%d err=%v", res.Path, len(res.Errors()), err)
 	}
 	if res.Degraded() {
 		t.Error("retry path reported as degraded")
 	}
 
-	fb := []FallbackRunner{
-		{Name: "broken", Run: func(*Benchmark, *graph.CSR, int32) (*RunOutput, error) {
-			return nil, errors.New("also down")
-		}},
-		{Name: "scalar", Run: func(*Benchmark, *graph.CSR, int32) (*RunOutput, error) {
-			return ok, nil
-		}},
-	}
-	res, err = RunResilient(context.Background(), b, g, nil, 0, failN(99), fb)
-	if err != nil || res.Path != "scalar" || !res.Degraded() {
-		t.Errorf("fallback run: path=%s err=%v", res.Path, err)
-	}
-	// vector x2 + broken fallback
-	if len(res.Attempts) != 3 {
-		t.Errorf("fallback run recorded %d attempts, want 3", len(res.Attempts))
-	}
-
-	res, err = RunResilient(context.Background(), b, g, nil, 0, failN(99), nil)
-	if err != nil || res.Path != "reference" {
+	res, err = RunResilient(context.Background(), b, g, nil, 0, failN(99))
+	if err != nil || res.Path != "reference" || !res.Degraded() {
 		t.Errorf("reference run: path=%s err=%v", res.Path, err)
+	}
+	if len(res.Errors()) != 2 {
+		t.Errorf("reference run recorded %d failed attempts, want 2", len(res.Errors()))
 	}
 	if err := res.Output.Verify(b, g, 0); err != nil {
 		t.Errorf("reference output rejected: %v", err)
 	}
 
 	noRef := &Benchmark{Name: "stub"}
-	if _, err := RunResilient(context.Background(), noRef, g, nil, 0, failN(99), nil); !errors.Is(err, boom) {
+	if _, err := RunResilient(context.Background(), noRef, g, nil, 0, failN(99)); !errors.Is(err, boom) {
 		t.Errorf("exhausted chain error %v does not wrap the cause", err)
 	}
 }
@@ -120,26 +106,15 @@ func TestResilientHistory(t *testing.T) {
 	failCost := Cost{Cycles: 500, Recovery: RecoveryCounts{Checkpoints: 2, Rollbacks: 3, BadCheckpoints: 1, WastedCycles: 120}}
 	okCost := Cost{Cycles: 900, Recovery: RecoveryCounts{Checkpoints: 4, Rollbacks: 1, WastedCycles: 40}}
 
-	brokenFB := FallbackRunner{Name: "broken", Run: func(*Benchmark, *graph.CSR, int32) (*RunOutput, error) {
-		return nil, errors.New("also down")
-	}}
-	okFB := FallbackRunner{Name: "scalar", Run: func(*Benchmark, *graph.CSR, int32) (*RunOutput, error) {
-		return ok, nil
-	}}
-
 	cases := []struct {
 		name      string
 		failFirst int // vector attempts that fail before one succeeds
-		fallbacks []FallbackRunner
 		wantPaths []string
 		wantErrs  []bool // per history entry: entry has a non-nil error
 	}{
-		{"first-try", 0, nil, []string{"vector"}, []bool{false}},
-		{"retry-serves", 1, nil, []string{"vector", "vector-retry"}, []bool{true, false}},
-		{"fallback-serves", 99, []FallbackRunner{brokenFB, okFB},
-			[]string{"vector", "vector-retry", "broken", "scalar"}, []bool{true, true, true, false}},
-		{"reference-serves", 99, nil,
-			[]string{"vector", "vector-retry", "reference"}, []bool{true, true, false}},
+		{"first-try", 0, []string{"vector"}, []bool{false}},
+		{"retry-serves", 1, []string{"vector", "vector-retry"}, []bool{true, false}},
+		{"reference-serves", 99, []string{"vector", "vector-retry", "reference"}, []bool{true, true, false}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,7 +126,7 @@ func TestResilientHistory(t *testing.T) {
 				}
 				return ok, okCost, nil
 			}
-			res, err := RunResilient(context.Background(), b, g, nil, 0, vector, tc.fallbacks)
+			res, err := RunResilient(context.Background(), b, g, nil, 0, vector)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,15 +158,15 @@ func TestResilientHistory(t *testing.T) {
 					t.Errorf("history[%d].Recovery = %+v, want %+v", i, a.Recovery, wantCost.Recovery)
 				}
 			}
-			// Attempts (failed-only view) must agree with the history errors.
+			// Errors (failed-only view) must agree with the history errors.
 			nFail := 0
 			for _, e := range tc.wantErrs {
 				if e {
 					nFail++
 				}
 			}
-			if len(res.Attempts) != nFail {
-				t.Errorf("Attempts has %d errors, want %d", len(res.Attempts), nFail)
+			if len(res.Errors()) != nFail {
+				t.Errorf("Errors has %d entries, want %d", len(res.Errors()), nFail)
 			}
 			// Totals aggregate over every attempt's recovery counters.
 			tot := res.TotalRecovery()
@@ -222,19 +197,15 @@ func TestRunResilientCtxGate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	vectorRan, fbRan := false, false
+	vectorRan := false
 	vector := func() (*RunOutput, Cost, error) {
 		vectorRan = true
 		return nil, Cost{}, errors.New("should never run")
 	}
-	fb := []FallbackRunner{{Name: "scalar", Run: func(*Benchmark, *graph.CSR, int32) (*RunOutput, error) {
-		fbRan = true
-		return nil, errors.New("should never run")
-	}}}
 
-	res, err := RunResilient(ctx, b, g, nil, 0, vector, fb)
-	if vectorRan || fbRan {
-		t.Errorf("cancelled chain still ran paths: vector=%v fallback=%v", vectorRan, fbRan)
+	res, err := RunResilient(ctx, b, g, nil, 0, vector)
+	if vectorRan {
+		t.Error("cancelled chain still ran the vector path")
 	}
 	if !errors.Is(err, fault.ErrBudgetExceeded) || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled chain error %v is not a deadline BudgetError wrapping Canceled", err)
@@ -248,17 +219,13 @@ func TestRunResilientCtxGate(t *testing.T) {
 	}
 
 	// Cancellation mid-chain: the vector attempt runs (and fails), then the
-	// cancel lands before any fallback is tried.
+	// cancel lands before the retry or the reference is tried.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	fbRan = false
 	vector2 := func() (*RunOutput, Cost, error) {
 		cancel2()
 		return nil, Cost{Cycles: 10}, errors.New("died while client hung up")
 	}
-	res, err = RunResilient(ctx2, b, g, nil, 0, vector2, fb)
-	if fbRan {
-		t.Error("fallback ran after mid-chain cancellation")
-	}
+	res, err = RunResilient(ctx2, b, g, nil, 0, vector2)
 	if !errors.Is(err, fault.ErrBudgetExceeded) {
 		t.Errorf("mid-chain cancellation error %v not typed", err)
 	}
@@ -268,28 +235,21 @@ func TestRunResilientCtxGate(t *testing.T) {
 }
 
 // TestRunResilientScalarOnly checks the overload-degradation entry: a nil
-// vector func serves straight from the fallback ladder.
+// vector func serves straight from the reference, in one attempt.
 func TestRunResilientScalarOnly(t *testing.T) {
 	b, err := ByName("bfs-wl")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := path4()
-	ok := &RunOutput{I: map[string][]int32{"lvl": RefBFS(g, 0)}}
-	fb := []FallbackRunner{{Name: "scalar", Run: func(*Benchmark, *graph.CSR, int32) (*RunOutput, error) {
-		return ok, nil
-	}}}
-	res, err := RunResilient(context.Background(), b, g, nil, 0, nil, fb)
-	if err != nil || res.Path != "scalar" || !res.Degraded() {
+	res, err := RunResilient(context.Background(), b, g, nil, 0, nil)
+	if err != nil || res.Path != "reference" || !res.Degraded() {
 		t.Errorf("scalar-only run: path=%s err=%v", res.Path, err)
 	}
-	if len(res.History) != 1 {
-		t.Errorf("scalar-only run recorded %d history entries, want 1", len(res.History))
+	if len(res.History) != 1 || res.History[0].Path != "reference" {
+		t.Errorf("scalar-only run history %+v, want one reference attempt", res.History)
 	}
-
-	// Without fallbacks the reference still serves.
-	res, err = RunResilient(context.Background(), b, g, nil, 0, nil, nil)
-	if err != nil || res.Path != "reference" {
-		t.Errorf("scalar-only reference run: path=%s err=%v", res.Path, err)
+	if err := res.Output.Verify(b, g, 0); err != nil {
+		t.Errorf("scalar-only output rejected: %v", err)
 	}
 }

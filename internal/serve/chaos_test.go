@@ -89,9 +89,10 @@ func TestChaosLoad(t *testing.T) {
 	refLvl := map[int32][]int32{}
 	refComp := kernels.RefCC(sym)
 
+	const maxInflight, maxQueue = 4, 4
 	s, err := New(g, Options{
-		MaxInflight:    4,
-		MaxQueue:       4,
+		MaxInflight:    maxInflight,
+		MaxQueue:       maxQueue,
 		TenantCap:      3,
 		RequestTimeout: 30 * time.Second,
 		Inject:         &fault.InjectorConfig{BitFlip: 0.002, Transient: 0.002},
@@ -213,9 +214,13 @@ func TestChaosLoad(t *testing.T) {
 	// heaviest kernel — far more simultaneous arrivals than slots + queue —
 	// so admission control MUST reject some with 429 (burst tenants exceed
 	// their cap) or 503 (queue full), and must do so instantly, not by
-	// hanging.
+	// hanging. The execution slots are held for the burst (see holdSlots):
+	// the queue takes the first maxQueue arrivals and every other one must
+	// come back rejected before the slots free.
 	const burstPerClient = 3
+	release := holdSlots(t, s)
 	ready := make(chan struct{})
+	answered := make(chan struct{}, clients*burstPerClient)
 	var burstWG sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		c := c
@@ -223,6 +228,7 @@ func TestChaosLoad(t *testing.T) {
 			burstWG.Add(1)
 			go func() {
 				defer burstWG.Done()
+				defer func() { answered <- struct{}{} }()
 				<-ready
 				url := fmt.Sprintf("%s/query?kind=pr&tenant=burst%d", srv.base, c%3)
 				t0 := time.Now()
@@ -239,13 +245,20 @@ func TestChaosLoad(t *testing.T) {
 					class = eb.Error
 				}
 				stats.record(resp.StatusCode, class, float64(time.Since(t0).Microseconds())/1e3)
-				if resp.StatusCode == http.StatusOK {
+				switch resp.StatusCode {
+				case http.StatusOK:
 					served.Add(1)
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					if resp.Header.Get("Retry-After") == "" {
+						t.Errorf("burst backpressure status %d without Retry-After", resp.StatusCode)
+					}
 				}
 			}()
 		}
 	}
 	close(ready)
+	awaitAnswers(t, answered, clients*burstPerClient-maxQueue)
+	release()
 	burstWG.Wait()
 
 	stats.mu.Lock()
@@ -253,7 +266,7 @@ func TestChaosLoad(t *testing.T) {
 	stats.mu.Unlock()
 	if rejected == 0 {
 		t.Errorf("overload burst (%d simultaneous vs %d slots) produced no 429/503 backpressure",
-			clients*burstPerClient, 4)
+			clients*burstPerClient, maxInflight)
 	}
 	if v, _ := s.Registry().Get("serve.panics"); v != 0 {
 		t.Fatalf("daemon recorded %v panics", v)

@@ -6,9 +6,10 @@ package serve
 // server sheds the most expensive guarantees first, keeping goodput up
 // instead of queueing toward timeout: verification goes first (invariant
 // checking at checkpoints still runs), then vector execution itself — the
-// scalar baselines cost a small fraction of a simulated vector run, so a
-// saturated server serves degraded-but-correct answers. Admission rejects
-// (429/503) are the rung below the ladder, not part of it.
+// serial reference is native Go with no machine model behind it, an order of
+// magnitude or more cheaper than a simulated vector run, and correct by
+// construction, so a saturated server serves degraded-but-correct answers.
+// Admission rejects (429/503) are the rung below the ladder, not part of it.
 type Level int
 
 const (
@@ -18,8 +19,8 @@ const (
 	// LevelShedVerify runs the vector engine but skips output verification;
 	// checkpoint-time invariant validation still guards against corruption.
 	LevelShedVerify
-	// LevelScalar skips the vector engine entirely and serves from the
-	// scalar fallback ladder.
+	// LevelScalar skips the vector engine entirely and serves the
+	// benchmark's serial reference.
 	LevelScalar
 )
 

@@ -2,7 +2,7 @@
 // parses graph-query requests, admits them through a bounded work queue with
 // per-tenant caps, runs them on pooled engines through the resilient
 // execution chain, and degrades gracefully under overload — shedding result
-// verification first, then serving from the scalar ladder, then rejecting
+// verification first, then serving the serial reference, then rejecting
 // with backpressure statuses — instead of falling over.
 package serve
 

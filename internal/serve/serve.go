@@ -315,12 +315,12 @@ type Result struct {
 	Query    *Query
 	Level    Level
 	Epoch    uint64 // snapshot epoch the query executed against
-	Path     string // which execution path served ("vector", a baseline, ...)
-	Backend  string // kernel backend of the serving attempt ("" on scalar paths)
+	Path     string // which execution path served ("vector", "vector-retry" or "reference")
+	Backend  string // kernel backend of the serving attempt ("" for the reference)
 	Degraded bool
 	Attempts int     // failed attempts before the serving one
-	TimeMS   float64 // modeled kernel time (0 for scalar paths)
-	Cycles   float64 // modeled cycles of the serving attempt (0 for scalar paths)
+	TimeMS   float64 // modeled kernel time (0 for the reference)
+	Cycles   float64 // modeled cycles of the serving attempt (0 for the reference)
 	WallMS   float64
 	Output   *kernels.RunOutput
 	Recovery kernels.RecoveryCounts
@@ -420,7 +420,7 @@ func (s *Server) Execute(ctx context.Context, q *Query) (out *Result, err error)
 		cfg.Inject = fault.NewInjector(s.opts.InjectSeed+s.reqSeq.Add(1), *s.opts.Inject)
 	}
 	if level != LevelScalar {
-		// Pooled engine for the vector path; scalar serving never builds one.
+		// Pooled engine for the vector path; the reference touches none.
 		e, _ := s.engines.Get().(*spmd.Engine)
 		cfg.Engine = e
 		defer s.engines.Put(e)
@@ -434,7 +434,7 @@ func (s *Server) Execute(ctx context.Context, q *Query) (out *Result, err error)
 	case LevelShedVerify:
 		res, err = core.RunResilientCtx(ctx, b, g, cfg)
 	default:
-		res, err = core.RunFallbacks(ctx, b, g, cfg)
+		res, err = core.RunReference(ctx, b, g, cfg)
 	}
 	wallMS := float64(time.Since(start).Microseconds()) / 1e3
 	s.span(q, wallMS, err)
@@ -452,7 +452,7 @@ func (s *Server) Execute(ctx context.Context, q *Query) (out *Result, err error)
 		Path:     res.Path,
 		Backend:  res.ServingBackend(),
 		Degraded: res.Degraded(),
-		Attempts: len(res.Attempts),
+		Attempts: len(res.Errors()),
 		WallMS:   wallMS,
 		Output:   res.Output,
 		Recovery: res.TotalRecovery(),

@@ -38,6 +38,46 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// holdSlots occupies every execution slot of s, as long-running requests
+// would, and returns the func that frees them. Saturation tests hold the
+// slots: the scalar rung serves a query in tens of microseconds, so a handful
+// of clients alone never keeps a server busy long enough to reach its
+// admission bounds. Release is idempotent and also runs at test cleanup.
+func holdSlots(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	n := cap(s.adm.slots)
+	for i := 0; i < n; i++ {
+		if err := s.adm.acquire(context.Background(), fmt.Sprintf("holder%d", i)); err != nil {
+			t.Fatalf("holding slot %d: %v", i, err)
+		}
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			for i := 0; i < n; i++ {
+				s.adm.release(fmt.Sprintf("holder%d", i))
+			}
+		})
+	}
+	// A test that fails while holding must still free the slots, or its
+	// queued requests outlive it and block the HTTP server's Close.
+	t.Cleanup(release)
+	return release
+}
+
+// awaitAnswers waits for n signals on done: the requests admission must
+// answer at once while the slots are held.
+func awaitAnswers(t *testing.T, done <-chan struct{}, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d requests beyond the queue bound still unanswered after 10s", n-i, n)
+		}
+	}
+}
+
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -206,21 +246,26 @@ func TestServePanicIsolation(t *testing.T) {
 
 // TestServeBackpressure saturates a 1-slot server and checks the admission
 // taxonomy: some requests serve, the rest split between 429 (tenant cap) and
-// 503 (queue full) — all with Retry-After — and nothing hangs or panics.
+// 503 (queue full) — all with Retry-After — and nothing hangs or panics. The
+// slot is held while the clients arrive, so the queue takes one of them and
+// every other one must be answered before the slot frees.
 func TestServeBackpressure(t *testing.T) {
-	_, ts := newTestServer(t, Options{
+	s, ts := newTestServer(t, Options{
 		MaxInflight: 1, MaxQueue: 1, TenantCap: 2,
 		RequestTimeout: 10 * time.Second,
 	})
 	const clients = 10
 	codes := make([]int, clients)
 	retryHdr := make([]bool, clients)
+	release := holdSlots(t, s)
+	answered := make(chan struct{}, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		c := c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() { answered <- struct{}{} }()
 			// Half the clients share a tenant to trip its cap; the rest are
 			// distinct and contend for the queue.
 			tenant := "shared"
@@ -238,6 +283,8 @@ func TestServeBackpressure(t *testing.T) {
 			retryHdr[c] = resp.Header.Get("Retry-After") != ""
 		}()
 	}
+	awaitAnswers(t, answered, clients-1)
+	release()
 	wg.Wait()
 
 	counts := map[int]int{}
