@@ -104,7 +104,7 @@ serve-smoke:
 serve-stress:
 	$(GO) test -count=50 -cpu 1,2,4 -timeout 30m ./internal/serve ./cmd/egacs-serve
 
-# Nightly-style chaos sweep: every kernel through RunResilientVerified under
+# Nightly-style chaos sweep: every kernel through RunResilientVerifiedCtx under
 # every corruption class at escalating rates with checkpointing and invariant
 # verification on, and the execution matrix over its full product.
 # EGACS_CHAOS=full widens the seed list and the matrix from the CI-sized

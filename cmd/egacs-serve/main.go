@@ -4,8 +4,9 @@
 // lookups) over HTTP/JSON. Every request runs on a pooled engine through the
 // resilient execution chain with its own deadline and budget; admission
 // control bounds the work queue with per-tenant caps, and under overload the
-// server degrades gracefully (shed verification, then serve the serial
-// reference, then reject with 429/503) instead of falling over.
+// server degrades gracefully instead of falling over: a query that starts
+// while others are queued is served by the serial reference instead of the
+// verified vector run, and a full queue rejects with 429/503.
 //
 // Examples:
 //
@@ -72,8 +73,6 @@ func main() {
 		maxIters   = flag.Int("max-iters", 1<<20, "iteration budget per pipe loop")
 		stallWin   = flag.Int("stall-window", 256, "identical-frontier iterations before non-convergence")
 		ckEvery    = flag.Int("checkpoint-every", 16, "checkpoint pipe loops every N iterations (recoverable faults roll back)")
-		shedAt     = flag.Float64("shed-verify-at", 0.5, "occupancy at which output verification is shed")
-		scalarAt   = flag.Float64("scalar-at", 0.8, "occupancy at which queries serve the serial reference instead of the vector engine")
 
 		flipProb   = flag.Float64("flip-inject", 0, "chaos: per-request silent bit-flip probability")
 		transProb  = flag.Float64("transient-inject", 0, "chaos: per-request transient-fault probability")
@@ -133,8 +132,6 @@ func main() {
 		MaxIters:        *maxIters,
 		StallWindow:     *stallWin,
 		CheckpointEvery: *ckEvery,
-		ShedVerifyAt:    *shedAt,
-		ScalarAt:        *scalarAt,
 		InjectSeed:      *injectSeed,
 	}
 	if *flipProb > 0 || *transProb > 0 {

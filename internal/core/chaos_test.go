@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"strings"
@@ -43,7 +44,7 @@ func chaosTyped(err error) bool {
 // TestChaos is the chaos gate of the failure model: every benchmark, under
 // every corruption class the injector offers (transient machine-checks,
 // silent bit flips, forced worklist overflows, corrupted memory indices) at
-// escalating rates, driven through RunResilientVerified with checkpointing
+// escalating rates, driven through RunResilientVerifiedCtx with checkpointing
 // and invariant verification on, must end in exactly one of two states —
 // a verified output, or a typed error after exhausting the ladder. Panics and
 // silently corrupt results are the two forbidden outcomes; the test fails on
@@ -83,7 +84,7 @@ func TestChaos(t *testing.T) {
 					Budget:           fault.Budget{MaxIters: 5000, StallWindow: 128},
 					Inject:           fault.NewInjector(seed, rate),
 				}
-				res, err := RunResilientVerified(b, g, cfg)
+				res, err := RunResilientVerifiedCtx(context.Background(), b, g, cfg)
 				if err != nil {
 					if !chaosTyped(err) {
 						t.Errorf("%s rate#%d seed %d: untyped failure: %v", b.Name, ri, seed, err)

@@ -54,7 +54,7 @@ func TestCancelDuringIteration(t *testing.T) {
 
 	// Baseline: how many polls does an undisturbed run make?
 	probe := newCountingCtx(1 << 60)
-	if _, err := RunResilientCtx(probe, b, g, Config{}); err != nil {
+	if _, err := RunResilientVerifiedCtx(probe, b, g, Config{}); err != nil {
 		t.Fatalf("probe run failed: %v", err)
 	}
 	polls := probe.calls.Load()
@@ -64,7 +64,7 @@ func TestCancelDuringIteration(t *testing.T) {
 
 	// Cancel halfway through the polls the run would make.
 	ctx := newCountingCtx(polls / 2)
-	res, err := RunResilientCtx(ctx, b, g, Config{})
+	res, err := RunResilientVerifiedCtx(ctx, b, g, Config{})
 	if err == nil {
 		t.Fatalf("run served (path %s) despite mid-kernel cancellation", res.Path)
 	}
@@ -97,7 +97,7 @@ func TestCancelConfigCtxPrecedence(t *testing.T) {
 
 	inner, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunResilientCtx(context.Background(), b, g, Config{Budget: fault.Budget{Ctx: inner}})
+	res, err := RunResilientVerifiedCtx(context.Background(), b, g, Config{Budget: fault.Budget{Ctx: inner}})
 	// The vector attempts die on the cancelled budget ctx, but the chain ctx
 	// is live, so the scalar ladder serves.
 	if err != nil {

@@ -20,32 +20,21 @@ import (
 // settings in cfg apply to the vector attempts only — the reference exists
 // precisely to survive them.
 func RunResilient(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.ResilientResult, error) {
-	return RunResilientCtx(context.Background(), b, g, cfg)
+	return runResilient(context.Background(), b, g, cfg, false, true)
 }
 
-// RunResilientVerified is RunResilient with the vector output additionally
-// checked against the benchmark's serial reference before it may serve:
+// RunResilientVerifiedCtx is RunResilient with the vector output additionally
+// checked against the benchmark's serial reference before it may serve —
 // corruption that slipped past the invariant validators fails the attempt and
-// degrades to the reference instead of serving silently wrong results.
-// This is the chaos-testing entry point — every run ends in a verified output
-// or a typed error.
-func RunResilientVerified(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.ResilientResult, error) {
-	return RunResilientVerifiedCtx(context.Background(), b, g, cfg)
-}
-
-// RunResilientCtx is RunResilient under a caller context: unless the config
-// already carries its own budget context, ctx becomes the run's wall-clock
-// budget (fault.Budget.Ctx), which the pipe-loop guards check every
-// iteration — so a caller deadline or a disconnected client stops a run
-// mid-kernel with a typed deadline error, not at the next attempt boundary.
-// The degradation chain also stops between attempts once ctx is done. This
-// is the serving layer's per-request entry point.
-func RunResilientCtx(ctx context.Context, b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.ResilientResult, error) {
-	return runResilient(ctx, b, g, cfg, false, true)
-}
-
-// RunResilientVerifiedCtx is RunResilientVerified under a caller context
-// (see RunResilientCtx).
+// degrades to the reference instead of serving silently wrong results — under
+// a caller context. Unless the config already carries its own budget context,
+// ctx becomes the run's wall-clock budget (fault.Budget.Ctx), which the
+// pipe-loop guards check every iteration, so a caller deadline or a
+// disconnected client stops a run mid-kernel with a typed deadline error, not
+// at the next attempt boundary; the degradation chain also stops between
+// attempts once ctx is done. Every run ends in a verified output or a typed
+// error. This is the serving layer's per-request entry point and the chaos
+// gate's.
 func RunResilientVerifiedCtx(ctx context.Context, b *kernels.Benchmark, g *graph.CSR, cfg Config) (*kernels.ResilientResult, error) {
 	return runResilient(ctx, b, g, cfg, true, true)
 }

@@ -85,8 +85,8 @@ func TestPromWriterRoundTrip(t *testing.T) {
 	p := NewPromWriter()
 	p.Family("egacs_serve_requests_total", "total requests", "counter")
 	p.Sample("egacs_serve_requests_total", nil, 42)
-	p.Family("egacs_serve_load", "admission occupancy", "gauge")
-	p.Sample("egacs_serve_load", nil, 0.75)
+	p.Family("egacs_serve_queued", "queries waiting for an execution slot", "gauge")
+	p.Sample("egacs_serve_queued", nil, 0.75)
 	p.Family("egacs_errors_total", "errors by class", "counter")
 	p.Sample("egacs_errors_total", []Label{{"class", `weird"va\lue` + "\nnewline"}}, 3)
 

@@ -90,17 +90,8 @@ func (a *admission) release(tenant string) {
 	a.mu.Unlock()
 }
 
-// load reports occupancy as a fraction of execution capacity: 1.0 means every
-// slot busy, above 1.0 requests are queueing. The degradation ladder keys off
-// this.
-func (a *admission) load() float64 {
-	a.mu.Lock()
-	q := a.queued
-	a.mu.Unlock()
-	return float64(len(a.slots)+q) / float64(cap(a.slots))
-}
-
-// depth reports current inflight and queued counts (for /statz and metrics).
+// depth reports current inflight and queued counts (for the degradation
+// ladder, /statz and metrics).
 func (a *admission) depth() (inflight, queued int) {
 	a.mu.Lock()
 	q := a.queued

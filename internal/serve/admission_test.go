@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"sync"
@@ -37,16 +39,8 @@ func TestAdmissionCaps(t *testing.T) {
 		t.Fatalf("queued acquire: %v", err)
 	}
 	cancel()
-
-	// Occupancy: 2 slots busy, no queue -> load 1.0.
-	if l := a.load(); l != 1.0 {
-		t.Fatalf("load = %v, want 1.0", l)
-	}
 	a.release("t2")
 	a.release("t3")
-	if l := a.load(); l != 0 {
-		t.Fatalf("drained load = %v, want 0", l)
-	}
 }
 
 func TestAdmissionTenantCap(t *testing.T) {
@@ -136,23 +130,65 @@ func TestAdmissionConcurrency(t *testing.T) {
 	}
 }
 
+// TestLevelLadder pins the two-rung decision: the verified vector run unless
+// a request takes its slot with others still queued, then the reference.
 func TestLevelLadder(t *testing.T) {
 	cases := []struct {
-		load float64
-		want Level
+		queued int
+		want   Level
+		name   string
 	}{
-		{0, LevelNormal}, {0.49, LevelNormal},
-		{0.5, LevelShedVerify}, {0.79, LevelShedVerify},
-		{0.8, LevelScalar}, {2.0, LevelScalar},
+		{0, LevelNormal, "normal"},
+		{1, LevelScalar, "scalar"},
+		{8, LevelScalar, "scalar"},
 	}
 	for _, tc := range cases {
-		if got := levelFor(tc.load, 0.5, 0.8); got != tc.want {
-			t.Errorf("levelFor(%v) = %v, want %v", tc.load, got, tc.want)
+		got := levelFor(tc.queued)
+		if got != tc.want || got.String() != tc.name {
+			t.Errorf("levelFor(%d) = %v, want %v", tc.queued, got, tc.name)
 		}
 	}
-	// Zero thresholds disable rungs.
-	if got := levelFor(5, 0, 0); got != LevelNormal {
-		t.Errorf("disabled ladder engaged: %v", got)
+}
+
+// TestLoneRequestServesVector: a request on an idle server gets the verified
+// vector run whatever the slot count, one slot included — the request itself
+// is never part of the backlog the ladder reads.
+func TestLoneRequestServesVector(t *testing.T) {
+	g := testGraph()
+	for maxInflight := 1; maxInflight <= 4; maxInflight++ {
+		s, err := New(g, Options{MaxInflight: maxInflight})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Execute(context.Background(), &Query{Kind: "bfs", Node: -1, TopK: 1})
+		if err != nil {
+			t.Fatalf("max-inflight %d: %v", maxInflight, err)
+		}
+		if res.Level != LevelNormal || res.Path != "vector" || res.Degraded {
+			t.Errorf("max-inflight %d: lone request served at level %v path %q degraded %v, want normal/vector/false",
+				maxInflight, res.Level, res.Path, res.Degraded)
+		}
+	}
+}
+
+// TestSelfCheckRunsVector: the readiness check of a one-slot server exercises
+// the vector engine, not the reference, as its request-log line shows.
+func TestSelfCheckRunsVector(t *testing.T) {
+	var buf bytes.Buffer
+	s, err := New(testGraph(), Options{MaxInflight: 1, RequestLog: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SelfCheck(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var e reqLogEntry
+	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
+		t.Fatalf("self-check log line: %v: %q", err, buf.String())
+	}
+	if e.Level != "normal" || e.Cycles <= 0 || e.Backend == "" {
+		t.Errorf("self-check served at level %q with %v modeled cycles on backend %q, want the vector engine",
+			e.Level, e.Cycles, e.Backend)
 	}
 }
 

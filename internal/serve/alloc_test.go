@@ -67,20 +67,16 @@ func TestServeRequestAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestScalarRungServesReference forces every request onto LevelScalar (any
-// occupancy engages it) and requires each answer to be the benchmark's serial
-// reference, bit for bit, at a fraction of the allocation of the same query
-// served at LevelNormal on a pooled engine. The rung used to run a simulated
-// baseline framework that allocated 2.5-11.6 MB per request, more than the
-// vector run it shed.
+// TestScalarRungServesReference serves queries at LevelScalar through
+// serveAt, the body Execute runs once a request holds its slot, and requires
+// each answer to be the benchmark's serial reference, bit for bit, at a
+// fraction of the allocation of the same query served at LevelNormal on a
+// pooled engine. The rung used to run a simulated baseline framework that
+// allocated 2.5-11.6 MB per request, more than the vector run it shed.
 func TestScalarRungServesReference(t *testing.T) {
 	g := graph.RMAT(10, 8, 63, 42)
 	g.SortAdjacency()
-	scalar, err := New(g, Options{ScalarAt: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	normal, err := New(g, Options{})
+	s, err := New(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +98,15 @@ func TestScalarRungServesReference(t *testing.T) {
 				}
 			}
 			want := b.Reference(in, params, q.Src)
-
-			res, err := scalar.Execute(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
+			serveAt := func(level Level) *Result {
+				res, err := s.serveAt(context.Background(), q, s.snap.Load(), b, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
+
+			res := serveAt(LevelScalar)
 			if res.Level != LevelScalar || res.Path != "reference" || !res.Degraded {
 				t.Fatalf("level %v path %q degraded %v, want scalar/reference/true", res.Level, res.Path, res.Degraded)
 			}
@@ -130,26 +130,18 @@ func TestScalarRungServesReference(t *testing.T) {
 			if raceEnabled {
 				return // allocation volume is not meaningful under the race detector
 			}
-			perRequest := func(s *Server, level Level) float64 {
+			perRequest := func(level Level) float64 {
 				const requests = 3
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				for i := 0; i < requests; i++ {
-					res, err := s.Execute(context.Background(), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Level != level {
-						t.Fatalf("served at %v, want %v", res.Level, level)
-					}
+					serveAt(level)
 				}
 				runtime.ReadMemStats(&after)
 				return float64(after.TotalAlloc-before.TotalAlloc) / requests
 			}
-			if _, err := normal.Execute(context.Background(), q); err != nil {
-				t.Fatal(err) // warm the engine pool
-			}
-			atNormal, atScalar := perRequest(normal, LevelNormal), perRequest(scalar, LevelScalar)
+			serveAt(LevelNormal) // warm the engine pool
+			atNormal, atScalar := perRequest(LevelNormal), perRequest(LevelScalar)
 			t.Logf("%.0f KB per request at normal, %.0f KB at scalar", atNormal/1e3, atScalar/1e3)
 			if atScalar >= atNormal {
 				t.Errorf("the scalar rung allocates %.0f KB per request, the normal rung %.0f KB", atScalar/1e3, atNormal/1e3)

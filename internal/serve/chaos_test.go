@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -318,17 +317,21 @@ func TestChaosLoad(t *testing.T) {
 	total := clients*perClient + clients*burstPerClient
 	qps := float64(served.Load()) / elapsed.Seconds()
 	p50, p99 := stats.percentile(0.50), stats.percentile(0.99)
-	t.Logf("chaos load: %d requests, %d served, %.1f QPS, p50 %.1fms p99 %.1fms, statuses %v, classes %v",
-		total, served.Load(), qps, p50, p99, stats.statuses, stats.classes)
+	scalar, _ := s.Registry().Get("serve.scalar_forced")
+	ok, _ := s.Registry().Get("serve.ok")
+	t.Logf("chaos load: %d requests, %d served, %.1f QPS, p50 %.1fms p99 %.1fms, statuses %v, classes %v, serve.ok %v of which scalar %v",
+		total, served.Load(), qps, p50, p99, stats.statuses, stats.classes, ok, scalar)
 	if math.IsNaN(qps) || p99 < p50 {
 		t.Fatalf("nonsense latency aggregates: qps=%v p50=%v p99=%v", qps, p50, p99)
 	}
 }
 
-// TestChaosOverloadDegrades drives a 1-slot server hard enough that the
-// degradation ladder must engage: with every slot busy, later admissions see
-// load >= 1 and serve scalar. The shed counters prove the ladder ran; every
-// answer still verifies.
+// TestChaosOverloadDegrades queues a backlog on a 1-slot server and requires
+// the ladder to serve it exactly: with the slot held, 8 bfs requests queue;
+// once it frees, each request that takes the slot while others still wait is
+// served by the reference, so 7 answers are scalar and only the last, which
+// finds the queue empty, runs the verified vector engine. Every answer equals
+// the reference.
 func TestChaosOverloadDegrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload probe is not short")
@@ -338,7 +341,6 @@ func TestChaosOverloadDegrades(t *testing.T) {
 	s, err := New(g, Options{
 		MaxInflight: 1, MaxQueue: 8, TenantCap: -1,
 		RequestTimeout: 30 * time.Second,
-		ShedVerifyAt:   0.5, ScalarAt: 0.9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,57 +349,47 @@ func TestChaosOverloadDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const backlog = 8
 	want := kernels.RefBFS(g, 0)
+	release := holdSlots(t, s)
+	levels := make(chan Level, backlog)
 	var wg sync.WaitGroup
-	var degraded atomic.Int64
-	for c := 0; c < 8; c++ {
+	for c := 0; c < backlog; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			res, err := s.Execute(context.Background(), &Query{Kind: "bfs", Node: -1, TopK: 1, Tenant: "storm"})
 			if err != nil {
-				if !typedServeErr(err) {
-					t.Errorf("untyped overload error: %v", err)
-				}
+				t.Errorf("queued request failed: %v", err)
 				return
 			}
-			if res.Level != LevelNormal {
-				degraded.Add(1)
-			}
+			levels <- res.Level
 			got := res.Output.GetI("lvl")
 			for i := range want {
 				if got[i] != want[i] {
-					t.Errorf("degraded run served wrong lvl[%d]=%d want %d (level %v path %s)",
+					t.Errorf("served wrong lvl[%d]=%d want %d (level %v path %s)",
 						i, got[i], want[i], res.Level, res.Path)
 					return
 				}
 			}
 		}()
 	}
+	waitFor(t, func() bool { _, q := s.adm.depth(); return q == backlog })
+	release()
 	wg.Wait()
-	if degraded.Load() == 0 {
-		t.Error("overload never engaged the degradation ladder")
-	}
-	shed, _ := s.Registry().Get("serve.shed_verify")
-	scalar, _ := s.Registry().Get("serve.scalar_forced")
-	if shed+scalar == 0 {
-		t.Errorf("ladder counters flat: shed=%v scalar=%v", shed, scalar)
-	}
-}
+	close(levels)
 
-// typedServeErr reports whether err belongs to the service failure taxonomy.
-func typedServeErr(err error) bool {
-	for _, sentinel := range []error{
-		ErrBadRequest, ErrTenantLimit, ErrQueueFull, ErrDraining, ErrNotReady,
-		fault.ErrBudgetExceeded, fault.ErrNonConvergence, fault.ErrKernelPanic,
-		fault.ErrOutOfBounds, fault.ErrCorruptGraph, fault.ErrInvariantViolation,
-		context.DeadlineExceeded, context.Canceled,
-	} {
-		if errors.Is(err, sentinel) {
-			return true
-		}
+	count := map[Level]int{}
+	for l := range levels {
+		count[l]++
 	}
-	return false
+	if count[LevelScalar] != backlog-1 || count[LevelNormal] != 1 {
+		t.Errorf("backlog of %d served %d scalar, %d normal; want %d scalar, 1 normal",
+			backlog, count[LevelScalar], count[LevelNormal], backlog-1)
+	}
+	if v, _ := s.Registry().Get("serve.scalar_forced"); v != backlog-1 {
+		t.Errorf("serve.scalar_forced = %v, want %d", v, backlog-1)
+	}
 }
 
 // localHTTP is the storm's real-socket HTTP front end.

@@ -1,49 +1,38 @@
 package serve
 
-// Level is a rung of the overload-degradation ladder. Under light load every
-// request gets the full treatment — vector execution with checkpointing and
-// output verification against the serial reference. As occupancy climbs the
-// server sheds the most expensive guarantees first, keeping goodput up
-// instead of queueing toward timeout: verification goes first (invariant
-// checking at checkpoints still runs), then vector execution itself — the
-// serial reference is native Go with no machine model behind it, an order of
-// magnitude or more cheaper than a simulated vector run, and correct by
-// construction, so a saturated server serves degraded-but-correct answers.
-// Admission rejects (429/503) are the rung below the ladder, not part of it.
+// Level is a rung of the overload-degradation ladder. A request that takes
+// its execution slot with nobody waiting behind it gets the full treatment —
+// vector execution with checkpointing and output verification against the
+// serial reference. A request that takes its slot while others still wait in
+// the queue is served by the serial reference instead: native Go with no
+// machine model behind it, an order of magnitude or more cheaper than a
+// simulated vector run, and correct by construction, so a backlog drains
+// with correct answers instead of queueing toward timeout. An idle server
+// never degrades. Admission rejects (429/503) are the rung below the ladder,
+// not part of it.
 type Level int
 
 const (
 	// LevelNormal runs the vector engine and verifies the served output
 	// against the serial reference before it leaves the building.
 	LevelNormal Level = iota
-	// LevelShedVerify runs the vector engine but skips output verification;
-	// checkpoint-time invariant validation still guards against corruption.
-	LevelShedVerify
 	// LevelScalar skips the vector engine entirely and serves the
 	// benchmark's serial reference.
 	LevelScalar
 )
 
 func (l Level) String() string {
-	switch l {
-	case LevelShedVerify:
-		return "shed-verify"
-	case LevelScalar:
+	if l == LevelScalar {
 		return "scalar"
-	default:
-		return "normal"
 	}
+	return "normal"
 }
 
-// levelFor maps queue occupancy to a ladder rung. shedAt and scalarAt are the
-// load fractions (see admission.load) at which each shedding step engages; a
-// zero threshold disables that rung.
-func levelFor(load, shedAt, scalarAt float64) Level {
-	if scalarAt > 0 && load >= scalarAt {
+// levelFor picks the rung for a request that has just taken its execution
+// slot, from the number of requests still queued for one.
+func levelFor(queued int) Level {
+	if queued > 0 {
 		return LevelScalar
-	}
-	if shedAt > 0 && load >= shedAt {
-		return LevelShedVerify
 	}
 	return LevelNormal
 }

@@ -230,7 +230,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	snap := s.opts.Registry.Snapshot()
 	snap["serve.inflight"] = float64(inflight)
 	snap["serve.queued"] = float64(queued)
-	snap["serve.load"] = s.adm.load()
 	snap["trace_dropped"] = float64(s.traceDropped())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(snap)

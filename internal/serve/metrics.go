@@ -93,7 +93,6 @@ func (l *labeledHist) snapshot() (keys []histKey, snaps []obs.HistogramSnapshot)
 var gaugeKeys = map[string]bool{
 	"serve.inflight": true,
 	"serve.queued":   true,
-	"serve.load":     true,
 }
 
 // handleMetrics serves the Prometheus text-exposition page.
@@ -142,8 +141,6 @@ func (s *Server) writeProm(w io.Writer) error {
 	p.Sample("egacs_serve_inflight", nil, float64(inflight))
 	p.Family("egacs_serve_queued", "queries waiting for an execution slot", "gauge")
 	p.Sample("egacs_serve_queued", nil, float64(queued))
-	p.Family("egacs_serve_load", "admission occupancy (inflight+queued over capacity)", "gauge")
-	p.Sample("egacs_serve_load", nil, s.adm.load())
 
 	p.Family("egacs_trace_dropped_total", "request spans dropped by the full trace ring", "counter")
 	p.Sample("egacs_trace_dropped_total", nil, float64(s.traceDropped()))

@@ -1,9 +1,9 @@
 // Package serve is the multi-tenant query layer of the EGACS daemon: it
 // parses graph-query requests, admits them through a bounded work queue with
 // per-tenant caps, runs them on pooled engines through the resilient
-// execution chain, and degrades gracefully under overload — shedding result
-// verification first, then serving the serial reference, then rejecting
-// with backpressure statuses — instead of falling over.
+// execution chain, and degrades gracefully under overload — serving the
+// serial reference to queries that start while others are queued, then
+// rejecting with backpressure statuses — instead of falling over.
 package serve
 
 import (

@@ -19,8 +19,9 @@ import (
 )
 
 // Options configures a Server. The zero value serves with sane defaults:
-// Intel machine model, 2 concurrent requests per core-slot equivalents, a
-// bounded queue twice that deep, graceful degradation at 50%/80% occupancy.
+// Intel machine model, 4 concurrently executing requests, a bounded queue
+// twice that deep. The degradation ladder has no settings: a request that
+// takes its slot while others queue is served by the reference (see Level).
 type Options struct {
 	// Machine is the hardware model queries execute on (default Intel8).
 	Machine *machine.Config
@@ -42,21 +43,14 @@ type Options struct {
 
 	// RequestTimeout is the per-request deadline (default 30s).
 	RequestTimeout time.Duration
-	// MaxIters/MaxCycles/StallWindow populate each request's fault.Budget
-	// (defaults: 1<<20 iterations, stall window 256, cycles uncapped).
+	// MaxIters/StallWindow populate each request's fault.Budget (defaults:
+	// 1<<20 iterations, stall window 256; modeled cycles are uncapped).
 	MaxIters    int
-	MaxCycles   float64
 	StallWindow int
 
-	// CheckpointEvery/MaxRollbacks arm checkpoint-rollback recovery on the
-	// vector attempts (default: every 16 iterations, 3 rollbacks).
+	// CheckpointEvery arms checkpoint-rollback recovery on the vector
+	// attempts (default every 16 iterations, up to 3 rollbacks each).
 	CheckpointEvery int
-	MaxRollbacks    int
-
-	// ShedVerifyAt and ScalarAt are the occupancy fractions where the
-	// degradation ladder engages (defaults 0.5 and 0.8; see levelFor).
-	ShedVerifyAt float64
-	ScalarAt     float64
 
 	// Inject arms per-request fault injection for chaos testing: every
 	// request gets its own deterministic injector derived from InjectSeed
@@ -116,15 +110,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 16
-	}
-	if o.MaxRollbacks == 0 {
-		o.MaxRollbacks = 3
-	}
-	if o.ShedVerifyAt == 0 {
-		o.ShedVerifyAt = 0.5
-	}
-	if o.ScalarAt == 0 {
-		o.ScalarAt = 0.8
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
@@ -327,7 +312,8 @@ type Result struct {
 }
 
 // Execute runs one parsed query end to end: admission, degradation-level
-// selection, pooled-engine execution through the resilient chain, release.
+// selection, pooled-engine execution through the resilient chain (serveAt),
+// release.
 // It is the transport-independent core of the /query handler (tests drive it
 // directly). Telemetry invariant: the latency histogram records exactly one
 // observation per Execute — on every path, including rejections — so its
@@ -390,28 +376,36 @@ func (s *Server) Execute(ctx context.Context, q *Query) (out *Result, err error)
 	}
 	defer s.adm.release(q.Tenant)
 
-	// Pick the degradation rung from occupancy at execution start.
-	level := levelFor(s.adm.load(), s.opts.ShedVerifyAt, s.opts.ScalarAt)
-	switch level {
-	case LevelShedVerify:
-		reg.Add("serve.shed_verify", 1)
-	case LevelScalar:
+	// Pick the degradation rung from the backlog at execution start: this
+	// request no longer counts as queued.
+	_, queued := s.adm.depth()
+	level := levelFor(queued)
+	if level == LevelScalar {
 		reg.Add("serve.scalar_forced", 1)
 	}
+	return s.serveAt(ctx, q, sn, b, level)
+}
 
+// serveAt is the post-admission body of Execute: it runs q against snapshot
+// sn at the given rung and records the outcome.
+func (s *Server) serveAt(ctx context.Context, q *Query, sn *snapshot, b *kernels.Benchmark, level Level) (*Result, error) {
+	reg := s.opts.Registry
 	g := sn.g
 	if b.NeedsSymmetric {
 		g = sn.symmetrized()
 	}
 
+	// Rollbacks per checkpoint before a fault escalates to the chain's next
+	// attempt. Modeled cycles are uncapped; the request deadline bounds a run.
+	const maxRollbacks = 3
 	cfg := core.Config{
 		Machine:          s.opts.Machine,
 		Tasks:            s.opts.Tasks,
 		Backend:          s.opts.Backend,
 		Src:              q.Src,
-		Budget:           fault.Budget{MaxIters: s.opts.MaxIters, MaxCycles: s.opts.MaxCycles, StallWindow: s.opts.StallWindow},
+		Budget:           fault.Budget{MaxIters: s.opts.MaxIters, StallWindow: s.opts.StallWindow},
 		CheckpointEvery:  s.opts.CheckpointEvery,
-		MaxRollbacks:     s.opts.MaxRollbacks,
+		MaxRollbacks:     maxRollbacks,
 		VerifyInvariants: true,
 	}
 	if s.opts.Inject != nil {
@@ -428,13 +422,11 @@ func (s *Server) Execute(ctx context.Context, q *Query) (out *Result, err error)
 
 	start := time.Now()
 	var res *kernels.ResilientResult
-	switch level {
-	case LevelNormal:
-		res, err = core.RunResilientVerifiedCtx(ctx, b, g, cfg)
-	case LevelShedVerify:
-		res, err = core.RunResilientCtx(ctx, b, g, cfg)
-	default:
+	var err error
+	if level == LevelScalar {
 		res, err = core.RunReference(ctx, b, g, cfg)
+	} else {
+		res, err = core.RunResilientVerifiedCtx(ctx, b, g, cfg)
 	}
 	wallMS := float64(time.Since(start).Microseconds()) / 1e3
 	s.span(q, wallMS, err)
@@ -445,7 +437,7 @@ func (s *Server) Execute(ctx context.Context, q *Query) (out *Result, err error)
 		return nil, err
 	}
 
-	out = &Result{
+	out := &Result{
 		Query:    q,
 		Level:    level,
 		Epoch:    sn.epoch,

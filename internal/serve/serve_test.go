@@ -418,7 +418,7 @@ func TestServeStatz(t *testing.T) {
 	if snap["serve.requests"] < 2 || snap["serve.ok"] < 2 {
 		t.Fatalf("counters missing: %v", snap)
 	}
-	if _, ok := snap["serve.load"]; !ok {
-		t.Fatalf("no load gauge: %v", snap)
+	if _, ok := snap["serve.queued"]; !ok {
+		t.Fatalf("no queue gauge: %v", snap)
 	}
 }

@@ -77,7 +77,7 @@ func TestStatusHandlerBodies(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("statz body not JSON: %v", err)
 	}
-	for _, key := range []string{"serve.requests", "serve.inflight", "serve.queued", "serve.load", "trace_dropped"} {
+	for _, key := range []string{"serve.requests", "serve.inflight", "serve.queued", "trace_dropped"} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("statz missing %q: %v", key, snap)
 		}
@@ -170,7 +170,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE egacs_serve_requests_total counter",
 		"# TYPE egacs_serve_latency_ms histogram",
 		"# TYPE egacs_serve_queue_depth histogram",
-		"# TYPE egacs_serve_load gauge",
 		"# TYPE egacs_serve_errors_by_class_total counter",
 		`egacs_serve_latency_ms_bucket{tenant="alice",kernel="bfs-wl"`,
 		"egacs_trace_dropped_total 0",
