@@ -16,8 +16,12 @@ gen:
 gen-drift: gen
 	git diff --exit-code -- internal/compiled
 
+# go vet, then the formatting gate: every Go file outside the generated
+# backend (internal/compiled) must be gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^internal/compiled/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

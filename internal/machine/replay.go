@@ -2,7 +2,8 @@ package machine
 
 // AccessKind classifies a memory access for stall costing. The deferred SPMD
 // scheduler records (addr, kind) pairs during concurrent task execution and
-// replays them here in deterministic task order, so cache-state evolution —
+// replays them through MemModel.Access in deterministic task order, charging
+// each kind's stall from LoadCost/GatherCost, so cache-state evolution —
 // and therefore every level hit and every stall cycle — is identical to a
 // serial run.
 type AccessKind uint8
@@ -21,53 +22,18 @@ const (
 	AccStream
 )
 
-// ReplayAccess is the trace-replay entry point on the memory model: it runs
-// one recorded access through the hierarchy on the given core, mutating tags
-// exactly as a live access would, and returns the exposed stall in cycles
-// under the given active-thread count. Live execution and deferred replay
-// share this path, so costing is bit-identical between them by construction.
-func (mm *MemModel) ReplayAccess(core int, addr int64, kind AccessKind, threads int) float64 {
-	lvl := mm.Access(core, addr)
-	switch kind {
-	case AccLoad:
-		return mm.cfg.LoadCost(lvl, threads)
-	case AccGather:
-		return mm.cfg.GatherCost(lvl, threads)
-	case AccStream:
-		if lvl != L1 {
-			return mm.cfg.LoadCost(lvl, threads)
-		}
-	}
-	return 0
-}
-
 // LineShift returns log2 of the cache line size, the granularity at which
 // the deferred trace recorder may fold consecutive same-line accesses into
 // one run-length word.
 func (mm *MemModel) LineShift() uint { return mm.lineShift }
 
 // RepeatHits advances the access counters for n guaranteed L1 hits without
-// probing tags — the counter-only half of ReplayRepeat, for callers that
-// charge stalls through a precomputed cost table.
+// probing tags: n back-to-back repeats of an access whose line the
+// immediately preceding access installed (nothing intervened to evict it).
+// Callers charge the repeats' stalls through their own precomputed cost
+// table, once per repeat, so float summation stays bit-identical to an
+// uncompressed replay.
 func (mm *MemModel) RepeatHits(n int) {
 	mm.Accesses += int64(n)
 	mm.Hits[L1] += int64(n)
-}
-
-// ReplayRepeat accounts n back-to-back repeats of an access whose line the
-// immediately preceding access installed: each repeat is a guaranteed L1 hit
-// (nothing intervened to evict it), so no tag probe is needed. Hit counters
-// advance exactly as n individual Access calls would, and the returned value
-// is the per-repeat exposed stall — the caller accumulates it once per
-// repeat so float summation stays bit-identical to an uncompressed replay.
-func (mm *MemModel) ReplayRepeat(kind AccessKind, threads, n int) float64 {
-	mm.Accesses += int64(n)
-	mm.Hits[L1] += int64(n)
-	switch kind {
-	case AccLoad:
-		return mm.cfg.LoadCost(L1, threads)
-	case AccGather:
-		return mm.cfg.GatherCost(L1, threads)
-	}
-	return 0
 }

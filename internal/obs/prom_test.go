@@ -67,10 +67,10 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestPromName(t *testing.T) {
 	for in, want := range map[string]string{
-		"serve.requests":       "serve_requests",
+		"serve.requests":        "serve_requests",
 		"serve.err.bad-request": "serve_err_bad_request",
-		"9lives":               "_9lives",
-		"ok_already":           "ok_already",
+		"9lives":                "_9lives",
+		"ok_already":            "ok_already",
 	} {
 		if got := PromName(in); got != want {
 			t.Errorf("PromName(%q) = %q, want %q", in, got, want)

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -64,6 +66,44 @@ func TestServeRequestAllocationBudget(t *testing.T) {
 	t.Logf("%.0f KB allocated per warmed bfs request", per/1e3)
 	if per > 400e3 {
 		t.Errorf("a warmed bfs request allocates %.0f KB, budget 400 KB", per/1e3)
+	}
+}
+
+// TestEngineReuseAcrossPs returns an engine to the pool and takes it back on
+// a goroutine that runs on the other P, because the returning goroutine spins
+// until the take is done. Every take must find the returned engine: a
+// 2.14 MB spmd.New each time a lone client's goroutine changes P is what
+// the pool exists to avoid.
+func TestEngineReuseAcrossPs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// A collection would empty the pool and read as a miss.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s, err := New(graph.RMAT(6, 8, 63, 42), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var news atomic.Int32
+	newEngine := s.engines.New
+	s.engines.New = func() any {
+		news.Add(1)
+		return newEngine()
+	}
+	e := s.acquireEngine()
+	for i := 0; i < 100; i++ {
+		s.releaseEngine(e)
+		var done atomic.Bool
+		go func() {
+			e = s.acquireEngine()
+			done.Store(true)
+		}()
+		for !done.Load() {
+		}
+	}
+	if n := news.Load(); n != 1 {
+		t.Errorf("100 takes after a return built %d more engines, want 0", n-1)
 	}
 }
 

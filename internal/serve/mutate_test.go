@@ -258,9 +258,17 @@ func TestSnapshotIsolationDifferential(t *testing.T) {
 	ctx := context.Background()
 
 	// Frozen per-epoch graph copies (epoch 1 = boot graph). The map is only
-	// written by the mutator goroutine, under mu.
+	// written by the mutator goroutine, under mu. Each epoch is recorded at
+	// the compaction gate, before the swap: recording it after Compact
+	// returned let a reader finish a query on the new epoch first.
 	var mu sync.Mutex
 	frozen := map[uint64]*graph.CSR{1: s.Graph()}
+	s.gateHook = func(folded *graph.CSR) error {
+		mu.Lock()
+		frozen[s.Epoch()+1] = folded
+		mu.Unlock()
+		return nil
+	}
 
 	ops, err := graph.GenMutations(s.Graph(), 99, graph.MutGenOptions{Count: 240, DeleteFrac: 0.3, MaxWeight: 16})
 	if err != nil {
@@ -283,9 +291,6 @@ func TestSnapshotIsolationDifferential(t *testing.T) {
 					t.Errorf("compact: %v", err)
 					return
 				}
-				mu.Lock()
-				frozen[s.Epoch()] = s.Graph()
-				mu.Unlock()
 			}
 		}
 	}()

@@ -2,6 +2,8 @@ package spmd
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/obs"
@@ -39,7 +41,7 @@ func TestDeferredHotPathAllocationFree(t *testing.T) {
 	a := e.AllocI("a", 64)
 	f := e.AllocF("f", 64)
 	sink := newAllocSink(e, 1)
-	tc := e.newTask(0, 1, ExecDeferred, false)
+	tc := e.newTasks(1, ExecDeferred)[0]
 	m := vec.FullMask(16)
 	idx := vec.Iota()
 	val := vec.Splat(7)
@@ -81,7 +83,7 @@ func TestStageFreeHotPathAllocationFree(t *testing.T) {
 	e := newModeEngine(1, ExecDeferred)
 	a := e.AllocI("a", 64)
 	f := e.AllocF("f", 64)
-	tc := e.newTask(0, 1, ExecDeferred, false)
+	tc := e.newTasks(1, ExecDeferred)[0]
 	m := vec.FullMask(16)
 	idx := vec.Iota()
 	val := vec.Splat(7)
@@ -301,6 +303,52 @@ func TestPoolReuseAcrossLaunches(t *testing.T) {
 			if !reflect.DeepEqual(o, out) {
 				t.Errorf("mode %d trial %d: outputs diverge from live", mode, trial)
 			}
+		}
+	}
+}
+
+// TestBarrierHandoffAllocationFree pins the cost of the cooperative
+// scheduler's task handoff on a reused engine: a 16-task launch allocates
+// the same number of objects with 8 barriers as with 1 (a barrier is a
+// coroutine switch, not an allocation), and a whole launch stays below
+// 13.6 KB, which a goroutine and two channels per task plus a fresh TaskCtx
+// per task reach (coroutines and the engine's reused task buffer take about
+// 5.8 KB).
+func TestBarrierHandoffAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	// A collection would empty the deferred-context pool mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, mode := range []Exec{ExecLive, ExecDeferred} {
+		e := newModeEngine(16, mode)
+		launch := func(barriers int) func() {
+			body := func(tc *TaskCtx) {
+				for i := 0; i < barriers; i++ {
+					tc.Barrier()
+				}
+			}
+			return func() {
+				if err := e.Launch(16, body); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		one, eight := launch(1), launch(8)
+		one()
+		eight()
+		if a1, a8 := testing.AllocsPerRun(50, one), testing.AllocsPerRun(50, eight); a8 != a1 {
+			t.Errorf("mode %d: %.1f objects per launch with 8 barriers, %.1f with 1; barriers must not allocate", mode, a8, a1)
+		}
+		const runs = 50
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			eight()
+		}
+		runtime.ReadMemStats(&m1)
+		if b := float64(m1.TotalAlloc-m0.TotalAlloc) / runs; b >= 13600 {
+			t.Errorf("mode %d: %.0f bytes per 16-task launch, want < 13.6 KB", mode, b)
 		}
 	}
 }

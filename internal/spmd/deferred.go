@@ -34,7 +34,7 @@ import (
 // and hash-free in steady state: pending writes live in direct-indexed
 // shadow buffers invalidated by an epoch bump, push batches resolve through
 // a dense-id table, and all segment buffers are pooled with capacity
-// carried across segments and launches (Engine.defPool).
+// carried across segments, launches and engines (defPool).
 
 // shadow is one task's pending-write view of one array: a direct-indexed
 // buffer of packed (epoch stamp, value bits) words. An element holds a
@@ -100,7 +100,7 @@ type memOp struct {
 // sign bit stays clear). A committed word with rep > 0 encodes rep+1
 // back-to-back accesses of the same kind to the same line: replay probes the
 // hierarchy once and accounts the repeats as guaranteed L1 hits
-// (machine.ReplayRepeat), so replay work scales with touched lines, not
+// (machine.MemModel.RepeatHits), so replay work scales with touched lines, not
 // lanes. A staged word with rep > 0 encodes rep+1 consecutive batch slots;
 // their absolute addresses resolve at materialization, so replay expands
 // them individually.

@@ -107,19 +107,22 @@ type Engine struct {
 	arrays  []*Array
 	cp      *checkpoint
 
-	// defPool recycles deferredCtx objects across launches so shadow
-	// buffers, traces, logs and batches keep their capacity for the whole
-	// kernel pipeline instead of reallocating per launch.
-	defPool sync.Pool
-
-	// gen is the engine's reuse generation, bumped by ResetAll. Pooled
-	// deferred contexts stamp the generation they were built under; a
-	// context acquired under a newer generation drops its layout-dependent
-	// state (shadow tables and batch tables keyed by dense ids that the new
-	// run reissues) before first use, so a reused engine can never surface a
-	// prior run's pending writes — or trip the foreign-array check — through
-	// a recycled shadow buffer.
+	// gen is the engine's reuse generation, drawn from the package-wide
+	// engineGen counter by New and again by ResetAll. Pooled deferred
+	// contexts (defPool, shared by every engine) stamp the generation they
+	// were built under; a context acquired under any other generation — a
+	// later run of this engine or another engine altogether — drops its
+	// layout-dependent state (shadow tables and batch tables keyed by dense
+	// ids that the new run reissues) before first use, so a reused context can
+	// never surface a prior run's pending writes — or trip the foreign-array
+	// check — through a recycled shadow buffer.
 	gen uint64
+
+	// tasks is the per-task state of the current launch, reused by every
+	// launch on this engine (newTasks) so a launch does not allocate its
+	// TaskCtx values; tcs[i] is &tasks[i].
+	tasks []TaskCtx
+	tcs   []*TaskCtx
 
 	// aggScratch holds aggregateSegment's per-core accumulators, reused
 	// across segments (aggregation always runs single-threaded).
@@ -129,10 +132,10 @@ type Engine struct {
 	// (access kind, hit level), premultiplied by StallScale and the
 	// active-thread contention scale. The hot charge sites (live noteAccess,
 	// trace replay) reduce to a cache probe plus one table read and one add;
-	// each entry is computed once with exactly the operands the uncached
-	// ReplayAccess×StallScale path multiplied per access, so accumulated
-	// stalls stay bit-identical. Rebuilt by setActiveThreads (every launch),
-	// New and ResetAll.
+	// each entry is the Machine.LoadCost/GatherCost × StallScale product a
+	// per-access charge would compute, computed once, so accumulated stalls
+	// are bit-identical to charging each access from the machine model.
+	// Rebuilt by setActiveThreads (every launch), New and ResetAll.
 	stallTab [4][machine.NumLevels]float64
 	// stallFlat is stallTab flattened to kind*NumLevels+level, indexed by
 	// the packed cost bytes a stage-free cooperative segment records in
@@ -184,6 +187,7 @@ func New(cfg *machine.Config, target vec.Target, tasks int) *Engine {
 	e.buildOpCost()
 	e.buildStallTab()
 	e.attr.init()
+	e.gen = engineGen.Add(1)
 	return e
 }
 
@@ -345,7 +349,7 @@ func (e *Engine) ResetAll(target vec.Target, tasks int) {
 	e.DropCheckpoint()
 	e.Addr.Reset()
 	e.Mem.Reset()
-	e.gen++
+	e.gen = engineGen.Add(1)
 }
 
 // execMode resolves the effective execution mode for the next launch.
@@ -409,13 +413,30 @@ func (e *Engine) LaunchEmpty(n int) {
 // MarkIteration records the current pipe-loop iteration for failure context.
 func (e *Engine) MarkIteration(i int64) { e.iter.Store(i) }
 
-// newTask builds one TaskCtx for a launch of n tasks. Live tasks account
+// newTasks builds the n TaskCtx of one launch in the engine's task buffer,
+// growing it when n exceeds every earlier launch.
+func (e *Engine) newTasks(n int, mode Exec) []*TaskCtx {
+	if len(e.tasks) < n {
+		e.tasks = make([]TaskCtx, n)
+		e.tcs = make([]*TaskCtx, n)
+		for i := range e.tasks {
+			e.tcs[i] = &e.tasks[i]
+		}
+	}
+	tcs := e.tcs[:n]
+	for i := range tcs {
+		e.newTask(i, n, mode)
+	}
+	return tcs
+}
+
+// newTask (re)initializes task i of a launch of n tasks. Live tasks account
 // directly into the engine's stats; deferred tasks get a private shard and
-// effect context. withChans attaches the cooperative scheduler's handoff
-// channels.
-func (e *Engine) newTask(i, n int, mode Exec, withChans bool) *TaskCtx {
+// effect context.
+func (e *Engine) newTask(i, n int, mode Exec) {
 	hwt := e.hwThreadOf(i)
-	tc := &TaskCtx{
+	tc := &e.tasks[i]
+	*tc = TaskCtx{
 		E:     e,
 		Index: i,
 		Count: n,
@@ -433,20 +454,24 @@ func (e *Engine) newTask(i, n int, mode Exec, withChans bool) *TaskCtx {
 		// during execution instead of recording a trace (MarkStageFree).
 		tc.serialDef = mode == ExecDeferred
 	}
-	if withChans {
-		tc.resume = make(chan struct{})
-		tc.yield = make(chan struct{})
-	}
-	return tc
 }
+
+// engineGen hands out engine reuse generations (see Engine.gen).
+var engineGen atomic.Uint64
+
+// defPool recycles deferredCtx objects across launches and engines so
+// shadow buffers, traces, logs and batches keep their capacity for the whole
+// kernel pipeline — and for the next engine — instead of reallocating per
+// launch.
+var defPool sync.Pool
 
 // getDeferredCtx acquires a pooled deferred-effect context. Trace
 // compression (line-level access dedup) is enabled only when no pager is
 // attached: with demand paging every access must replay at its own address.
-// A context pooled before the last ResetAll drops its dense-id-keyed state
-// first (see Engine.gen).
+// A context last used under another generation drops its dense-id-keyed
+// state first (see Engine.gen).
 func (e *Engine) getDeferredCtx() *deferredCtx {
-	d, _ := e.defPool.Get().(*deferredCtx)
+	d, _ := defPool.Get().(*deferredCtx)
 	if d == nil {
 		d = &deferredCtx{gen: e.gen}
 	} else if d.gen != e.gen {
@@ -461,17 +486,22 @@ func (e *Engine) getDeferredCtx() *deferredCtx {
 	return d
 }
 
-// releaseTasks returns the tasks' deferred contexts to the engine pool at
-// the end of a launch (including error paths), carrying buffer capacity and
-// shadow allocations over to the next launch.
+// releaseTasks ends a launch (including its error paths): it stops every
+// cooperative task still suspended at a barrier, which unwinds its body, and
+// returns the deferred contexts to the pool, carrying buffer capacity and
+// shadow allocations over to the next launch. The coroutine handles and the
+// failure value are dropped so the task buffer retains nothing of the
+// launch's body; a live task stays usable until the next launch.
 func (e *Engine) releaseTasks(tcs []*TaskCtx) {
 	for _, tc := range tcs {
-		if tc == nil || tc.def == nil {
-			continue
+		if tc.stop != nil {
+			tc.stop()
 		}
-		tc.def.reset()
-		e.defPool.Put(tc.def)
-		tc.def = nil
+		if tc.def != nil {
+			tc.def.reset()
+			defPool.Put(tc.def)
+		}
+		tc.def, tc.next, tc.stop, tc.yield, tc.panicked = nil, nil, nil, nil, nil
 	}
 }
 
@@ -580,86 +610,13 @@ func (e *Engine) launch(n int, body func(*TaskCtx), charge bool) error {
 	return err
 }
 
-// runCooperative executes a launch on the deterministic cooperative
-// scheduler: one goroutine per task, resumed one at a time in task order,
-// yielding at barriers. In ExecDeferred mode each segment's private effects
-// merge in task order before the segment cost aggregates.
-func (e *Engine) runCooperative(n int, mode Exec, body func(*TaskCtx)) error {
-	tcs := make([]*TaskCtx, n)
-	defer e.releaseTasks(tcs)
-	for i := 0; i < n; i++ {
-		tc := e.newTask(i, n, mode, true)
-		tcs[i] = tc
-		go func(tc *TaskCtx) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isAbort := r.(abortSentinel); !isAbort {
-						tc.panicked = r
-					}
-				}
-				tc.done = true
-				tc.yield <- struct{}{}
-			}()
-			<-tc.resume
-			if tc.abort {
-				return
-			}
-			body(tc)
-		}(tc)
-	}
-
-	drain := func(failed *TaskCtx) {
-		for _, other := range tcs {
-			if other != failed && !other.done {
-				other.abort = true
-				other.resume <- struct{}{}
-				<-other.yield
-			}
-		}
-	}
-
-	running := n
-	for running > 0 {
-		for _, tc := range tcs {
-			if tc.done {
-				continue
-			}
-			tc.resume <- struct{}{}
-			<-tc.yield
-			if tc.panicked != nil {
-				// Drain remaining tasks so their goroutines exit, then
-				// surface the failure as a typed error.
-				drain(tc)
-				return e.taskError(tc)
-			}
-		}
-		if mode != ExecLive {
-			if err := e.mergeSegment(tcs); err != nil {
-				drain(nil)
-				return err
-			}
-		}
-		e.aggregateSegment(tcs)
-		running = 0
-		for _, tc := range tcs {
-			if !tc.done {
-				running++
-			}
-		}
-		if running > 0 {
-			e.chargeBarrier(n)
-		}
-	}
-	return nil
-}
-
 // LaunchNoBarrier runs body on n tasks that never call TaskCtx.Barrier — the
 // common single-segment launch emitted for per-kernel host pipelines. In the
 // serial modes the bodies run inline on the calling goroutine in task order,
-// eliminating all goroutine and channel overhead; in parallel mode they fan
-// out on a WaitGroup without barrier machinery. Effects and costs are
-// identical to Launch for barrier-free bodies. A body that does call Barrier
-// fails with a typed error.
+// as plain calls without the coroutine a barrier launch gives each task; in
+// parallel mode they fan out on a WaitGroup without barrier machinery.
+// Effects and costs are identical to Launch for barrier-free bodies. A body
+// that does call Barrier fails with a typed error.
 func (e *Engine) LaunchNoBarrier(n int, body func(*TaskCtx)) error {
 	if err := e.Budget.CheckCtx(); err != nil {
 		return err
@@ -679,11 +636,8 @@ func (e *Engine) LaunchNoBarrier(n int, body func(*TaskCtx)) error {
 	e.setActiveThreads(n)
 
 	mode := e.execMode()
-	tcs := make([]*TaskCtx, n)
+	tcs := e.newTasks(n, mode)
 	defer e.releaseTasks(tcs)
-	for i := 0; i < n; i++ {
-		tcs[i] = e.newTask(i, n, mode, false)
-	}
 
 	run := func(tc *TaskCtx) {
 		defer func() {

@@ -3,9 +3,11 @@ package spmd
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -316,6 +318,49 @@ func TestFailReturnsTypedError(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFailDrainsParkedTasks fails task 5 while the other 15 are parked at a
+// barrier: the launch must return the typed error, unwind every parked body
+// (its defers run, nothing past the barrier executes) and leave no goroutine
+// or coroutine behind, and the engine must launch again afterwards.
+func TestFailDrainsParkedTasks(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		mode Exec
+	}{{"live", ExecLive}, {"cooperative", ExecDeferred}, {"parallel", ExecParallel}} {
+		t.Run(m.name, func(t *testing.T) {
+			e := newTestEngine(16, m.mode)
+			boom := errors.New("task 5 gives up")
+			var unwound, passed atomic.Int32
+			before := runtime.NumGoroutine()
+			err := e.Launch(16, func(tc *TaskCtx) {
+				defer unwound.Add(1)
+				tc.Barrier()
+				if tc.Index == 5 {
+					tc.Fail(boom)
+				}
+				tc.Barrier()
+				passed.Add(1)
+			})
+			if !errors.Is(err, boom) || !strings.Contains(err.Error(), "task 5") {
+				t.Fatalf("launch error = %v, want task 5's typed failure", err)
+			}
+			if u, p := unwound.Load(), passed.Load(); u != 16 || p != 0 {
+				t.Errorf("%d of 16 bodies unwound, %d ran past the failed barrier; want 16 and 0", u, p)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("goroutines: %d before the launch, %d after", before, after)
+			}
+			if err := e.Launch(16, func(tc *TaskCtx) { tc.Barrier() }); err != nil {
+				t.Errorf("launch after a drained failure: %v", err)
+			}
+		})
+	}
 }
 
 func TestGatherOOBFailsLaunch(t *testing.T) {

@@ -54,7 +54,7 @@ func newFunnelRig(mode Exec, stageFree, paged bool) *funnelRig {
 		e.AllocF("rank", 5000),    // odd length, float-typed
 		e.AllocI("edge", 1<<13+7), // 32 KiB+: L1 capacity evictions
 	}}
-	r.tc = e.newTask(0, 1, mode, false)
+	r.tc = e.newTasks(1, mode)[0]
 	if stageFree {
 		r.tc.MarkStageFree()
 	}

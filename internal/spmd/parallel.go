@@ -113,12 +113,11 @@ func (p *phaser) abort() {
 // cost aggregation run through the phaser; the result is bit-identical to
 // the ExecDeferred cooperative reference.
 func (e *Engine) runParallel(n int, body func(*TaskCtx)) error {
-	tcs := make([]*TaskCtx, n)
+	tcs := e.newTasks(n, ExecParallel)
 	defer e.releaseTasks(tcs)
 	p := newPhaser(e, tcs, n)
-	for i := 0; i < n; i++ {
-		tcs[i] = e.newTask(i, n, ExecParallel, false)
-		tcs[i].ph = p
+	for _, tc := range tcs {
+		tc.ph = p
 	}
 
 	var wg sync.WaitGroup

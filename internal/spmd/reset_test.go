@@ -164,7 +164,7 @@ func TestResetAllEpochWrap(t *testing.T) {
 			}
 		}
 	}
-	e.defPool.Put(d)
+	defPool.Put(d)
 
 	// Full reuse cycle across the wrapped pool: reset the engine and run a
 	// fresh tenant; the recycled (wrapped, then generation-dropped) context
@@ -210,7 +210,7 @@ func TestResetAllKeepsLayoutFreeCapacity(t *testing.T) {
 	if opsCap == 0 || accCap == 0 {
 		t.Fatalf("priming run grew nothing: ops cap %d, acc cap %d", opsCap, accCap)
 	}
-	e.defPool.Put(d)
+	defPool.Put(d)
 
 	e.ResetAll(vec.TargetAVX512x16, 1)
 	d = e.getDeferredCtx()
@@ -221,5 +221,5 @@ func TestResetAllKeepsLayoutFreeCapacity(t *testing.T) {
 		t.Errorf("layout-free capacity dropped: ops %d->%d, acc %d->%d",
 			opsCap, cap(d.ops), accCap, cap(d.acc))
 	}
-	e.defPool.Put(d)
+	defPool.Put(d)
 }

@@ -6,8 +6,8 @@
 //
 // Tasks execute in one of three modes (Engine.Exec). ExecLive is the legacy
 // reference: tasks are scheduled cooperatively and deterministically —
-// between barriers, tasks run to completion one at a time in task order on a
-// single goroutine each, handing off through channels, with every effect
+// between barriers, tasks run to completion one at a time in task order, each
+// in its own coroutine that the launching goroutine resumes, with every effect
 // applied immediately. ExecDeferred runs the same cooperative schedule under
 // deferred-effect semantics (private per-task shards and traces, merged at
 // barriers in task order; see deferred.go), and ExecParallel runs those

@@ -57,10 +57,16 @@ type TaskCtx struct {
 	comp costVec
 	stl  costVec
 
-	resume, yield chan struct{}
-	done          bool
-	abort         bool
-	panicked      any
+	// next resumes the task's coroutine on the cooperative scheduler
+	// until its next barrier (true) or the end of its body (false); stop
+	// unwinds a suspended coroutine, and yield is the coroutine's side of
+	// the handoff, refused (false) once the launch is stopping. All three
+	// are nil in LaunchNoBarrier and parallel launches.
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	done     bool
+	panicked any
 }
 
 type abortSentinel struct{}
@@ -159,18 +165,13 @@ func (tc *TaskCtx) Barrier() {
 		tc.ph.barrier()
 		return
 	}
-	if tc.resume == nil {
+	if tc.yield == nil {
 		tc.Fail(fmt.Errorf("TaskCtx.Barrier inside a barrier-free launch: %w", fault.ErrKernelPanic))
 	}
-	tc.yield <- struct{}{}
-	<-tc.resume
-	if tc.abort {
+	if !tc.yield(struct{}{}) {
 		panic(abortSentinel{})
 	}
 }
-
-// Aborted reports whether the scheduler asked this task to unwind.
-func (tc *TaskCtx) Aborted() bool { return tc.abort }
 
 // --- Instruction accounting ---
 
