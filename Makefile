@@ -26,8 +26,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# internal/bench alone runs past go test's 10-minute default under -race on
+# a 2-vCPU machine; the explicit timeout lets the whole suite finish.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Layering gate: the baseline frameworks (Ligra, GraphIt, Galois) are
 # comparison systems for Fig. 4 / Table X, read only by internal/bench. The

@@ -1,5 +1,7 @@
 package machine
 
+import "fmt"
+
 // MemModel is a lightweight cache-hierarchy simulator: direct-mapped L1 and
 // L2 per core plus a shared L3, probed with synthetic byte addresses. It
 // exists to give the cost model locality — gather cost depends on which level
@@ -35,9 +37,12 @@ type MemModel struct {
 
 	lineShift uint
 
-	// tags backs every level's tag array. track is the write record and
-	// the recovery point, nil until the first Snapshot or Reset arms it.
-	tags  []int64
+	// tags backs every level's tag array: the line number held by each set,
+	// or -1. Lines are synthetic and AddrSpace keeps them below 2^31, so a
+	// tag is an int32 — half the bytes New fills, Reset clears and
+	// Snapshot/Restore copy. track is the write record and the recovery
+	// point, nil until the first Snapshot or Reset arms it.
+	tags  []int32
 	track *writeTrack
 
 	// Counters.
@@ -53,13 +58,13 @@ type MemModel struct {
 type writeTrack struct {
 	state          []uint8
 	dirty, touched []int32
-	mirror         []int64
+	mirror         []int32
 	hits           [NumLevels]int64
 	accesses       int64
 }
 
 const (
-	// blockTags is the write-tracking granularity: 64 tags, 512 bytes.
+	// blockTags is the write-tracking granularity: 64 tags, 256 bytes.
 	blockTags = 64
 
 	blockDirty   = 1 << 0 // written since the last Snapshot, Restore or Reset
@@ -69,7 +74,7 @@ const (
 // cacheArr is one direct-mapped level: tags is a window of MemModel.tags
 // starting at element base, a power of two long.
 type cacheArr struct {
-	tags []int64
+	tags []int32
 	base int
 }
 
@@ -87,26 +92,34 @@ func cacheSets(sizeBytes, lineSize int) int {
 	return p
 }
 
-func fillEmpty(tags []int64) {
+func fillEmpty(tags []int32) {
 	for i := range tags {
 		tags[i] = -1
 	}
 }
 
-// NewMemModel builds a memory model for the given machine.
-func NewMemModel(cfg *Config) *MemModel {
-	mm := &MemModel{cfg: cfg}
+// lineShift returns log2 of cfg's cache line size (64 bytes when unset).
+func lineShift(cfg *Config) uint {
 	ls := cfg.LineSize
 	if ls == 0 {
 		ls = 64
 	}
-	for mm.lineShift = 0; 1<<mm.lineShift < ls; mm.lineShift++ {
+	var s uint
+	for 1<<s < ls {
+		s++
 	}
+	return s
+}
+
+// NewMemModel builds a memory model for the given machine.
+func NewMemModel(cfg *Config) *MemModel {
+	mm := &MemModel{cfg: cfg, lineShift: lineShift(cfg)}
+	ls := 1 << mm.lineShift
 	n1, n2, n3 := cacheSets(cfg.L1Size, ls), cacheSets(cfg.L2Size, ls), 0
 	if cfg.L3Size > 0 {
 		n3 = cacheSets(cfg.L3Size, ls)
 	}
-	mm.tags = make([]int64, cfg.Cores*(n1+n2)+n3)
+	mm.tags = make([]int32, cfg.Cores*(n1+n2)+n3)
 	fillEmpty(mm.tags)
 	next := 0
 	carve := func(sets int) cacheArr {
@@ -137,7 +150,7 @@ func (mm *MemModel) Access(core int, addr int64) Level {
 	}
 	line := addr >> mm.lineShift
 	c := &mm.l1[core]
-	if c.tags[line&c.mask()] == line {
+	if c.tags[line&c.mask()] == int32(line) {
 		mm.Hits[L1]++
 		return L1
 	}
@@ -147,14 +160,14 @@ func (mm *MemModel) Access(core int, addr int64) Level {
 // L1View exposes core's direct-mapped L1 tag array and index mask so a fused
 // lane loop can perform the hit probe inline — Access itself is beyond the
 // cross-package inlining budget, and the probe dominates the simulator's
-// wall-clock. A caller that finds tags[(addr>>LineShift())&mask] == that line
-// must account the hit with RepeatHits(1); any other outcome must go through
-// Access, which re-probes and installs. The returned slice is the live tag
-// store and is strictly read-only: a write through it would bypass the
-// dirty-block record that Snapshot, Restore and Reset rely on. Those three
-// rewrite the store in place, so a view stays valid across them but the tags
-// it shows change.
-func (mm *MemModel) L1View(core int) ([]int64, int64) {
+// wall-clock. A caller that finds tags[line&mask] == int32(line), for
+// line = addr>>LineShift(), must account the hit with RepeatHits(1); any
+// other outcome must go through Access, which re-probes and installs. The
+// returned slice is the live tag store and is strictly read-only: a write
+// through it would bypass the dirty-block record that Snapshot, Restore and
+// Reset rely on. Those three rewrite the store in place, so a view stays
+// valid across them but the tags it shows change.
+func (mm *MemModel) L1View(core int) ([]int32, int64) {
 	if core >= len(mm.l1) {
 		core %= len(mm.l1)
 	}
@@ -168,6 +181,7 @@ func (mm *MemModel) L1View(core int) ([]int64, int64) {
 // tracking is armed, records the block it wrote.
 func (mm *MemModel) accessMiss(core int, line int64) Level {
 	t := mm.track
+	tag := int32(line)
 	lvl := L1
 	for _, c := range [...]*cacheArr{&mm.l1[core], &mm.l2[core], &mm.l3} {
 		if c.tags == nil {
@@ -175,10 +189,10 @@ func (mm *MemModel) accessMiss(core int, line int64) Level {
 			break
 		}
 		i := line & c.mask()
-		if c.tags[i] == line {
+		if c.tags[i] == tag {
 			break
 		}
-		c.tags[i] = line
+		c.tags[i] = tag
 		if t != nil {
 			if b := (c.base + int(i)) / blockTags; t.state[b] != blockDirty|blockTouched {
 				t.mark(b)
@@ -218,7 +232,7 @@ func (mm *MemModel) armed() *writeTrack {
 
 // block returns the window of s (the live tags or the mirror) that block b
 // covers; the last block may be short.
-func block(s []int64, b int32) []int64 {
+func block(s []int32, b int32) []int32 {
 	lo := int(b) * blockTags
 	return s[lo:min(lo+blockTags, len(s))]
 }
@@ -249,7 +263,7 @@ func (mm *MemModel) Snapshot() {
 	t := mm.armed()
 	if t.mirror == nil {
 		// The clean blocks, which the loop below skips, are empty.
-		t.mirror = make([]int64, len(mm.tags))
+		t.mirror = make([]int32, len(mm.tags))
 		fillEmpty(t.mirror)
 	}
 	for _, b := range t.dirty {
@@ -308,24 +322,35 @@ func (mm *MemModel) HitRate(lvl Level) float64 {
 
 // AddrSpace hands out non-overlapping synthetic base addresses for the data
 // arrays a kernel touches, so cache and paging simulation see a realistic
-// layout. Bases are page-aligned and allocation is append-only.
+// layout. Bases are page-aligned and allocation is append-only. Every byte
+// handed out lies on a cache line below 2^31, the range MemModel's int32 tags
+// hold; an allocation that would cross it panics rather than let two lines
+// share a tag. Each synthetic byte is backed by a host array, so only a run
+// holding 128 GiB of arrays (at 64-byte lines) gets there.
 type AddrSpace struct {
 	next     int64
 	pageSize int64
+	limit    int64 // first address whose line does not fit in 31 bits
 }
 
-// NewAddrSpace creates an address space with the given page alignment.
-func NewAddrSpace(pageSize int) *AddrSpace {
+// NewAddrSpace creates an address space with cfg's page alignment (4 KiB when
+// unset) whose lines, at cfg's line size, fit MemModel's tags.
+func NewAddrSpace(cfg *Config) *AddrSpace {
+	pageSize := int64(cfg.PageSize)
 	if pageSize <= 0 {
 		pageSize = 4 << 10
 	}
-	return &AddrSpace{next: int64(pageSize), pageSize: int64(pageSize)}
+	return &AddrSpace{next: pageSize, pageSize: pageSize, limit: int64(1) << 31 << lineShift(cfg)}
 }
 
 // Alloc reserves sizeBytes and returns the base address.
 func (as *AddrSpace) Alloc(sizeBytes int64) int64 {
 	base := as.next
 	n := (sizeBytes + as.pageSize - 1) / as.pageSize * as.pageSize
+	if n > as.limit-base {
+		panic(fmt.Sprintf("machine: allocating %d bytes at %#x passes %#x, past which a cache line does not fit the 31 bits of a tag",
+			sizeBytes, base, as.limit))
+	}
 	as.next += n
 	return base
 }

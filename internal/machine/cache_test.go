@@ -105,7 +105,7 @@ func TestHitRateAccounting(t *testing.T) {
 }
 
 func TestAddrSpace(t *testing.T) {
-	as := NewAddrSpace(4096)
+	as := NewAddrSpace(&Config{PageSize: 4096})
 	a := as.Alloc(100)
 	b := as.Alloc(5000)
 	c := as.Alloc(1)
@@ -127,7 +127,7 @@ func TestAddrSpace(t *testing.T) {
 }
 
 func TestAddrSpaceDefaultPage(t *testing.T) {
-	as := NewAddrSpace(0)
+	as := NewAddrSpace(&Config{})
 	if as.Alloc(10)%4096 != 0 {
 		t.Error("default page size should be 4K")
 	}

@@ -12,7 +12,7 @@ import (
 // the sparse model defines that the old one left to the caller.)
 type fullCopyOracle struct {
 	mm       *MemModel
-	snap     []int64
+	snap     []int32
 	hits     [NumLevels]int64
 	accesses int64
 }
@@ -73,7 +73,7 @@ func checkSynced(t *testing.T, step int, what string, mm *MemModel, o *fullCopyO
 		}
 		if s&blockTouched != 0 {
 			nTouched++
-		} else if slices.ContainsFunc(live, func(tag int64) bool { return tag != -1 }) {
+		} else if slices.ContainsFunc(live, func(tag int32) bool { return tag != -1 }) {
 			t.Fatalf("step %d (%s): untouched block %d is not empty", step, what, b)
 		}
 		if s == blockDirty {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
+	"repro/internal/spmd"
 )
 
 // pointServer is the benchmark's serve-point setup — default Options over
@@ -42,9 +43,9 @@ func serveBFS(tb testing.TB, h http.Handler, src int) {
 
 // TestServeRequestAllocationBudget pins the per-request allocation of a
 // warmed point query end to end. A request on a pooled engine used to
-// allocate 2.55 MB, 2.1 MB of it a fresh copy of the cache model's tags for
-// its first checkpoint; with the engine owning its recovery point and the
-// cache model syncing only dirtied blocks it is ~0.2 MB. The budget sits
+// allocate a fresh full copy of the cache model's tags for its first
+// checkpoint (1.06 MB on Intel8); with the engine owning its recovery point
+// and the cache model syncing only dirtied blocks it is ~0.2 MB. The budget sits
 // between the two so that losing either mechanism fails here, not only in the
 // host-time benchmark.
 func TestServeRequestAllocationBudget(t *testing.T) {
@@ -72,7 +73,7 @@ func TestServeRequestAllocationBudget(t *testing.T) {
 // TestEngineReuseAcrossPs returns an engine to the pool and takes it back on
 // a goroutine that runs on the other P, because the returning goroutine spins
 // until the take is done. Every take must find the returned engine: a
-// 2.14 MB spmd.New each time a lone client's goroutine changes P is what
+// 1.07 MB spmd.New each time a lone client's goroutine changes P is what
 // the pool exists to avoid.
 func TestEngineReuseAcrossPs(t *testing.T) {
 	if raceEnabled {
@@ -87,16 +88,16 @@ func TestEngineReuseAcrossPs(t *testing.T) {
 	}
 	var news atomic.Int32
 	newEngine := s.engines.New
-	s.engines.New = func() any {
+	s.engines.New = func() *spmd.Engine {
 		news.Add(1)
 		return newEngine()
 	}
-	e := s.acquireEngine()
+	e := s.engines.Get()
 	for i := 0; i < 100; i++ {
-		s.releaseEngine(e)
+		s.engines.Put(e)
 		var done atomic.Bool
 		go func() {
-			e = s.acquireEngine()
+			e = s.engines.Get()
 			done.Store(true)
 		}()
 		for !done.Load() {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/spmd"
 )
 
@@ -143,7 +144,7 @@ type Server struct {
 	gateHook func(*graph.CSR) error // test seam: extra compaction-gate check
 
 	adm     *admission
-	engines sync.Pool // *spmd.Engine or enginePoolFiller; see releaseEngine
+	engines pool.Pool[*spmd.Engine]
 
 	reqSeq atomic.Uint64 // per-request injector seed derivation
 	ready  atomic.Bool
@@ -198,7 +199,7 @@ func New(g *graph.CSR, opts Options) (*Server, error) {
 		epoch = s.store.Epoch()
 	}
 	s.snap.Store(newSnapshot(g, epoch))
-	s.engines.New = func() any {
+	s.engines.New = func() *spmd.Engine {
 		return spmd.New(o.Machine, o.Machine.PreferredTarget, o.Tasks)
 	}
 	s.rootCtx, s.rootStop = context.WithCancel(context.Background())
@@ -386,32 +387,6 @@ func (s *Server) Execute(ctx context.Context, q *Query) (out *Result, err error)
 	return s.serveAt(ctx, q, sn, b, level)
 }
 
-// enginePoolFiller is what releaseEngine puts into the engine pool ahead of
-// each engine; acquireEngine skips it.
-type enginePoolFiller struct{}
-
-// acquireEngine takes an engine from the pool, or a new one when the pool
-// holds none, skipping the fillers releaseEngine leaves behind.
-func (s *Server) acquireEngine() *spmd.Engine {
-	for {
-		if e, ok := s.engines.Get().(*spmd.Engine); ok {
-			return e
-		}
-	}
-}
-
-// releaseEngine returns e to the pool. sync.Pool keeps the first value put
-// on a P in that P's private slot, which Get on any other P cannot reach; a
-// lone client whose goroutine moves to the other P between two requests
-// would then build a fresh engine (2.14 MB on Intel8) every time it moves.
-// Putting enginePoolFiller first occupies the private slot, so e lands in
-// the P's shared queue, which Get on every P can take from. The pool still
-// drops idle engines at GC as before.
-func (s *Server) releaseEngine(e *spmd.Engine) {
-	s.engines.Put(enginePoolFiller{})
-	s.engines.Put(e)
-}
-
 // serveAt is the post-admission body of Execute: it runs q against snapshot
 // sn at the given rung and records the outcome.
 func (s *Server) serveAt(ctx context.Context, q *Query, sn *snapshot, b *kernels.Benchmark, level Level) (*Result, error) {
@@ -441,9 +416,9 @@ func (s *Server) serveAt(ctx context.Context, q *Query, sn *snapshot, b *kernels
 	}
 	if level != LevelScalar {
 		// Pooled engine for the vector path; the reference touches none.
-		e := s.acquireEngine()
+		e := s.engines.Get()
 		cfg.Engine = e
-		defer s.releaseEngine(e)
+		defer s.engines.Put(e)
 	}
 
 	start := time.Now()

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/vec"
 )
@@ -74,11 +75,11 @@ func TestDeferredHotPathAllocationFree(t *testing.T) {
 }
 
 // TestStageFreeHotPathAllocationFree holds the stage-free cooperative segment
-// (MarkStageFree: probe now, record a cost byte per access) to the same
-// zero-allocation bar, and pins what the funnel records there: one cost byte
-// per load lane and none for AccPlain accesses (scatter and atomics) — their
-// stall row is zero, so a byte would fold to nothing at the merge boundary
-// while growing the per-segment costs buffer by one byte per stored lane.
+// (MarkStageFree: probe now, charge the stall at the probe) to the same
+// zero-allocation bar, and pins what the funnel leaves there: no trace words,
+// nothing on an access-stall class for AccPlain accesses (scatter and
+// atomics), whose stall row is zero, and the load lanes' stalls already in
+// the task's class buckets before any merge.
 func TestStageFreeHotPathAllocationFree(t *testing.T) {
 	e := newModeEngine(1, ExecDeferred)
 	a := e.AllocI("a", 64)
@@ -103,17 +104,27 @@ func TestStageFreeHotPathAllocationFree(t *testing.T) {
 		tc.AtomicMinLanesP(a, &idx, &val, m)
 		tc.AtomicCASLanesP(a, &idx, &val, &val, m)
 	}
+	accessStalls := func() float64 {
+		var s float64
+		for _, c := range accCostClass {
+			s += tc.stl[c]
+		}
+		return s
+	}
 	tc.MarkStageFree()
 	stores()
-	if n := len(tc.def.costs); n != 0 {
-		t.Errorf("AccPlain accesses recorded %d cost bytes, want 0", n)
+	if s := accessStalls(); s != 0 {
+		t.Errorf("AccPlain accesses charged %v access-stall cycles, want 0", s)
 	}
 	if n := len(tc.def.ops); n == 0 {
 		t.Error("stores logged no ops")
 	}
+	if e.Mem.Accesses == 0 {
+		t.Error("stage-free stores did not probe the hierarchy")
+	}
 	loads()
-	if n, want := len(tc.def.costs), 3*16; n != want {
-		t.Errorf("loads recorded %d cost bytes, want %d (one per lane)", n, want)
+	if tc.stl[accCostClass[tc.gatherKind()]] == 0 || tc.stl[accCostClass[machine.AccLoad]] == 0 {
+		t.Errorf("load stalls not held in the task's buckets before the merge: %v", tc.stl)
 	}
 	if len(tc.def.acc) != 0 {
 		t.Error("stage-free segment recorded trace words")

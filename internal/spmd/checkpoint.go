@@ -9,7 +9,7 @@ package spmd
 // one at a pipe-loop iteration boundary and restoring it later replays the
 // remainder of the run bit-identically.
 //
-// Arrays bound to caller-owned slices (BindI/BindF: the graph's CSR and SELL
+// Arrays bound to caller-owned slices (BindI: the graph's CSR and SELL
 // arrays) are left out. Kernels only read them and the injector never targets
 // them, so there is nothing to roll back — and writing them back on Restore
 // would be a write to memory that other engines serving the same graph are

@@ -191,20 +191,20 @@ func (b *PushBatch) WriteAt(pos int32, val vec.Vec, m vec.Mask, width int) int32
 // stage-free (MarkStageFree) before its first access: stage-free cooperative
 // segments probe the memory hierarchy immediately during execution — tasks
 // run serially in task order, so the probe order is exactly the order a
-// trace replay would produce — and record only a packed cost byte per access
-// so the stall sum folds at the merge boundary in the same float order a
-// replay would use. Any access before a mark locks the segment into
-// recording mode, and parallel launches always record: concurrent tasks
-// cannot touch the shared hierarchy mid-segment.
+// trace replay would produce — and charge each stall to the task's class
+// bucket at the probe, as a live task does. That sum is the one a replay
+// would produce: the access-stall classes receive no other charge during a
+// deferred segment (atomic stalls have their own classes), aggregateSegment
+// zeroes the buckets at every segment end, and the stall table is rebuilt
+// only at launch, so 0+a1+a2+… in place is the replay's 0+(a1+a2+…). Any
+// access before a mark locks the segment into recording mode, and parallel
+// launches always record: concurrent tasks cannot touch the shared hierarchy
+// mid-segment.
 const (
 	segUndecided = uint8(iota)
 	segRecording
 	segImmediate
 )
-
-// The packed cost byte is kind<<2|level; this trips if the level count ever
-// outgrows the two bits the encoding gives it.
-var _ = [4]struct{}{}[machine.NumLevels-1]
 
 // deferredCtx is one task's private effect state for the current segment.
 // Contexts are pooled on the engine across launches, so the shadow buffers,
@@ -220,11 +220,8 @@ type deferredCtx struct {
 	acc []int64
 
 	// mode is the segment's costing mode (segUndecided / segRecording /
-	// segImmediate); costs is the stage-free segment's packed trace — one
-	// kind*NumLevels+level byte per access, probed at execution time and
-	// folded through Engine.stallFlat at the merge boundary.
-	mode  uint8
-	costs []byte
+	// segImmediate).
+	mode uint8
 
 	batches  []*PushBatch
 	batchTab []*PushBatch // direct-indexed by PushTarget id
@@ -318,7 +315,6 @@ func (d *deferredCtx) reset() {
 	d.ops = d.ops[:0]
 	d.acc = d.acc[:0]
 	d.mode = segUndecided
-	d.costs = d.costs[:0]
 	d.serialAtomics = 0
 	d.phLog = d.phLog[:0]
 }
@@ -415,15 +411,15 @@ func (tc *TaskCtx) Deferred() bool { return tc.def != nil }
 
 // MarkStageFree declares that the current segment will stage no worklist
 // pushes, letting a cooperative deferred task probe the memory hierarchy
-// immediately instead of recording a full access trace. Tasks run serially
-// in task order in that mode, so immediate probes evolve the cache in
-// exactly the order a merge-time replay would, and the per-access cost
-// bytes fold into the stall sum at the merge boundary in the same float
-// order — modeled time, statistics and hit counters are bit-identical to a
-// recorded segment. The mark must precede the segment's first access (a
-// prior access locks recording mode) and is ignored in live mode (no
-// deferral) and parallel mode (concurrent tasks must not touch the shared
-// hierarchy mid-segment). Every task of a launch runs the same driver code,
+// immediately, and charge each stall at the probe, instead of recording an
+// access trace. Tasks run serially in task order in that mode, so immediate
+// probes evolve the cache in exactly the order a merge-time replay would, and
+// the stalls add up in each class bucket in the replay's float order (see the
+// segment modes) — modeled time, statistics and hit counters are
+// bit-identical to a recorded segment. The mark must precede the segment's
+// first access (a prior access locks recording mode) and is ignored in live
+// mode (no deferral) and parallel mode (concurrent tasks must not touch the
+// shared hierarchy mid-segment). Every task of a launch runs the same driver code,
 // so all tasks of a segment decide identically and the global probe order
 // is preserved.
 func (tc *TaskCtx) MarkStageFree() {
@@ -433,12 +429,13 @@ func (tc *TaskCtx) MarkStageFree() {
 }
 
 // noteAccess accounts one memory access. Live mode and stage-free
-// cooperative segments page and probe the cache immediately; recording mode
-// appends a trace event replayed at the segment boundary — folding the
-// access into the previous trace word when both hit the same cache line, so
-// gather/scatter runs over hot lines cost one word, not one per lane. All
-// paths charge through the same Mem.Access probe and the engine's
-// premultiplied stall table, so stalls are identical by construction.
+// cooperative segments page and probe the cache and charge the stall
+// immediately; recording mode appends a trace event replayed at the segment
+// boundary — folding the access into the previous trace word when both hit
+// the same cache line, so gather/scatter runs over hot lines cost one word,
+// not one per lane. All paths charge through the same Mem.Access probe and
+// the engine's premultiplied stall table, so stalls are identical by
+// construction.
 func (tc *TaskCtx) noteAccess(addr int64, kind machine.AccessKind) {
 	if d := tc.def; d != nil && d.mode != segImmediate {
 		d.mode = segRecording
@@ -461,15 +458,7 @@ func (tc *TaskCtx) noteAccess(addr int64, kind machine.AccessKind) {
 	if e.Pager != nil {
 		tc.touchPage(addr)
 	}
-	lvl := e.Mem.Access(tc.core, addr)
-	if d := tc.def; d != nil {
-		// Stage-free segment: the probe happened now, in replay order; the
-		// stall folds at the merge boundary, after the task's execution-time
-		// stalls, exactly where a replay would have added it.
-		d.costs = append(d.costs, byte(kind)<<2|byte(lvl))
-		return
-	}
-	tc.stl[accCostClass[kind]] += e.stallTab[kind][lvl]
+	tc.stl[accCostClass[kind]] += e.stallTab[kind][e.Mem.Access(tc.core, addr)]
 }
 
 // Batch returns the task's staging batch for the given push target, creating
@@ -548,11 +537,12 @@ func (tc *TaskCtx) CountAtomics(n int, contended, push bool) {
 // bit-identical to an uncompressed replay.
 //
 // Stalls accumulate in per-kind locals (replay order within each kind) and
-// fold into the task's per-class buckets at the end. During deferred
-// execution the access-stall classes receive nothing — atomic stalls live in
+// fold into the task's per-class buckets at the end. During a recording
+// segment the access-stall classes receive nothing — atomic stalls live in
 // their own classes — so each class bucket is zero here and the final add
 // reproduces exactly the sum a live run accumulated in place (0 + x == x;
-// every charge is non-negative, so no -0 can arise).
+// every charge is non-negative, so no -0 can arise). A stage-free segment has
+// an empty trace: its stalls were charged at the probe.
 func (e *Engine) replayAccesses(tc *TaskCtx) {
 	d := tc.def
 	mem := e.Mem
@@ -561,12 +551,6 @@ func (e *Engine) replayAccesses(tc *TaskCtx) {
 	ls := mem.LineShift()
 	tags, tmask := mem.L1View(core)
 	var st [4]float64
-	// Stage-free segment: probes already ran in replay order during serial
-	// execution; fold the recorded per-access cost bytes in the same order.
-	// Exactly one of costs and acc is non-empty for any segment.
-	for _, c := range d.costs {
-		st[c>>2] += e.stallFlat[c]
-	}
 	for _, ev := range d.acc {
 		kind := machine.AccessKind((ev >> accKindShift) & 3)
 		rep := int(ev >> accCountShift)
@@ -578,7 +562,7 @@ func (e *Engine) replayAccesses(tc *TaskCtx) {
 				if paged {
 					tc.touchPage(addr)
 				}
-				if line := addr >> ls; !paged && tags[line&tmask] == line {
+				if line := addr >> ls; !paged && tags[line&tmask] == int32(line) {
 					mem.RepeatHits(1) // inline L1-hit probe
 					st[kind] += e.stallTab[kind][machine.L1]
 				} else {
@@ -591,7 +575,7 @@ func (e *Engine) replayAccesses(tc *TaskCtx) {
 		if paged {
 			tc.touchPage(addr)
 		}
-		if line := addr >> ls; !paged && tags[line&tmask] == line {
+		if line := addr >> ls; !paged && tags[line&tmask] == int32(line) {
 			mem.RepeatHits(1) // inline L1-hit probe
 			st[kind] += e.stallTab[kind][machine.L1]
 		} else {

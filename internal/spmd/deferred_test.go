@@ -121,19 +121,32 @@ func TestParallelMatchesDeferredUnderContention(t *testing.T) {
 
 // TestDeferredVisibility pins the deferred memory semantics: a task observes
 // its own segment writes immediately, other tasks' writes only after the
-// barrier, and conflicting stores merge in task order.
+// barrier, and conflicting stores merge in task order. The float store runs
+// the same course through the float shadow path (loadF/storeF), which no
+// kernel takes.
 func TestDeferredVisibility(t *testing.T) {
 	for _, mode := range []Exec{ExecDeferred, ExecParallel} {
 		e := newModeEngine(2, mode)
 		a := e.AllocI("a", 4)
+		f := e.AllocF("f", 4)
+		f.FillF(0.25)
 		err := e.Launch(2, func(tc *TaskCtx) {
 			if tc.Index == 0 {
 				tc.ScalarStoreI(a, 0, 5)
 				if got := tc.ScalarLoadI(a, 0); got != 5 {
 					t.Errorf("mode %d: own write invisible: %d", mode, got)
 				}
-			} else if got := tc.ScalarLoadI(a, 0); got != 0 {
-				t.Errorf("mode %d: foreign write leaked pre-barrier: %d", mode, got)
+				tc.ScalarStoreF(f, 2, 1.5)
+				if got := tc.ScalarLoadF(f, 2); got != 1.5 {
+					t.Errorf("mode %d: own float write invisible: %v", mode, got)
+				}
+			} else {
+				if got := tc.ScalarLoadI(a, 0); got != 0 {
+					t.Errorf("mode %d: foreign write leaked pre-barrier: %d", mode, got)
+				}
+				if got := tc.ScalarLoadF(f, 2); got != 0.25 {
+					t.Errorf("mode %d: foreign float write leaked pre-barrier: %v", mode, got)
+				}
 			}
 			// Both tasks store to a[1]; task order must decide the winner.
 			tc.ScalarStoreI(a, 1, int32(10+tc.Index))
@@ -144,9 +157,15 @@ func TestDeferredVisibility(t *testing.T) {
 			if got := tc.ScalarLoadI(a, 1); got != 11 {
 				t.Errorf("mode %d: conflicting stores merged to %d, want 11 (task order)", mode, got)
 			}
+			if got := tc.ScalarLoadF(f, 2); got != 1.5 {
+				t.Errorf("mode %d: merged float write invisible post-barrier: %v", mode, got)
+			}
 		})
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
+		}
+		if f.F[2] != 1.5 || f.F[1] != 0.25 {
+			t.Errorf("mode %d: committed floats %v, want the store merged into [2] only", mode, f.F)
 		}
 	}
 }

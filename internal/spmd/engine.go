@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/vec"
 )
 
@@ -130,17 +131,14 @@ type Engine struct {
 
 	// stallTab caches the exposed stall charge of one memory access per
 	// (access kind, hit level), premultiplied by StallScale and the
-	// active-thread contention scale. The hot charge sites (live noteAccess,
-	// trace replay) reduce to a cache probe plus one table read and one add;
-	// each entry is the Machine.LoadCost/GatherCost × StallScale product a
-	// per-access charge would compute, computed once, so accumulated stalls
-	// are bit-identical to charging each access from the machine model.
+	// active-thread contention scale. The hot charge sites (the probe in
+	// chargeLanes/noteAccess, trace replay) reduce to a cache probe plus one
+	// table read and one add; each entry is the Machine.LoadCost/GatherCost ×
+	// StallScale product a per-access charge would compute, computed once, so
+	// accumulated stalls are bit-identical to charging each access from the
+	// machine model.
 	// Rebuilt by setActiveThreads (every launch), New and ResetAll.
 	stallTab [4][machine.NumLevels]float64
-	// stallFlat is stallTab flattened to kind*NumLevels+level, indexed by
-	// the packed cost bytes a stage-free cooperative segment records in
-	// place of a full access trace (see deferredCtx.costs).
-	stallFlat [4 * machine.NumLevels]float64
 
 	// opCost caches Target.Lower for every (class, masked) pair together
 	// with the per-op compute charge float64(instrs)/IPC, so the accounting
@@ -182,7 +180,7 @@ func New(cfg *machine.Config, target vec.Target, tasks int) *Engine {
 		NumTasks:   tasks,
 		StallScale: scale,
 		Mem:        machine.NewMemModel(cfg),
-		Addr:       machine.NewAddrSpace(cfg.PageSize),
+		Addr:       machine.NewAddrSpace(cfg),
 	}
 	e.buildOpCost()
 	e.buildStallTab()
@@ -237,11 +235,6 @@ func (e *Engine) AllocF(name string, n int) *Array {
 // engines, and Checkpoint/Restore neither copy nor write them.
 func (e *Engine) BindI(name string, data []int32) *Array {
 	return e.register(&Array{Name: name, I: data, Base: e.Addr.Alloc(int64(len(data)) * 4), bound: true})
-}
-
-// BindF is BindI for a float slice.
-func (e *Engine) BindF(name string, data []float32) *Array {
-	return e.register(&Array{Name: name, F: data, Base: e.Addr.Alloc(int64(len(data)) * 4), bound: true})
 }
 
 // RegisterPushTarget hands out the next dense push-target id; worklists call
@@ -462,8 +455,9 @@ var engineGen atomic.Uint64
 // defPool recycles deferredCtx objects across launches and engines so
 // shadow buffers, traces, logs and batches keep their capacity for the whole
 // kernel pipeline — and for the next engine — instead of reallocating per
-// launch.
-var defPool sync.Pool
+// launch. It is a pool.Pool because a launch's goroutine may run on another
+// P than the one the previous launch returned its contexts on.
+var defPool pool.Pool[*deferredCtx]
 
 // getDeferredCtx acquires a pooled deferred-effect context. Trace
 // compression (line-level access dedup) is enabled only when no pager is
@@ -471,7 +465,7 @@ var defPool sync.Pool
 // A context last used under another generation drops its dense-id-keyed
 // state first (see Engine.gen).
 func (e *Engine) getDeferredCtx() *deferredCtx {
-	d, _ := defPool.Get().(*deferredCtx)
+	d := defPool.Get()
 	if d == nil {
 		d = &deferredCtx{gen: e.gen}
 	} else if d.gen != e.gen {
@@ -530,11 +524,6 @@ func (e *Engine) buildStallTab() {
 		e.stallTab[machine.AccStream][lvl] = e.Machine.LoadCost(lvl, e.activeThreads) * e.StallScale
 	}
 	e.stallTab[machine.AccStream][machine.L1] = 0
-	for kind := 0; kind < 4; kind++ {
-		for lvl := machine.Level(0); lvl < machine.NumLevels; lvl++ {
-			e.stallFlat[kind*int(machine.NumLevels)+int(lvl)] = e.stallTab[kind][lvl]
-		}
-	}
 }
 
 // taskError converts a recovered task panic into the typed launch error.

@@ -3,6 +3,7 @@ package spmd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -468,6 +469,43 @@ func TestAllocAndBind(t *testing.T) {
 			t.Errorf("Array.String = %q", a.String())
 		}
 	})
+}
+
+// TestAllocStopsAtTagRange: the cache model's tags are int32 line numbers,
+// so the address space refuses an array that would reach a line past 2^31-1
+// (two lines would share a tag and a miss would read as a hit), and an array
+// ending exactly at the limit probes like any other. The cursor is moved with
+// Rewind, so no host memory stands behind the synthetic range.
+func TestAllocStopsAtTagRange(t *testing.T) {
+	e := newModeEngine(1, ExecLive)
+	limit := int64(1) << 31 << e.Mem.LineShift()
+	page := int64(e.Machine.PageSize)
+	e.Addr.Rewind(limit - page)
+	func() {
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "31 bits") {
+				t.Errorf("an allocation crossing the tag range: recovered %v, want the address-space panic", p)
+			}
+		}()
+		e.AllocI("over", int(page/4)+1)
+	}()
+	top := e.AllocI("top", int(page/4))
+	if top.Base != limit-page {
+		t.Fatalf("base %#x after the refused allocation, want %#x", top.Base, limit-page)
+	}
+	last := int32(top.Len() - 16) // the last line: 16 int32 lanes
+	idx := vec.Bin(vec.OpAdd, vec.Iota(), vec.Splat(last), vec.FullMask(16), 16)
+	var dst vec.Vec
+	err := e.Launch(1, func(tc *TaskCtx) {
+		tc.GatherIP(top, &idx, vec.FullMask(16), false, &dst)
+		tc.GatherIP(top, &idx, vec.FullMask(16), false, &dst)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := e.Mem.Hits; h[machine.Mem] != 1 || h[machine.L1] != 31 || e.Mem.Accesses != 32 {
+		t.Errorf("two gathers of the top line: hits %v of %d accesses, want one miss to memory and 31 L1 hits", h, e.Mem.Accesses)
+	}
 }
 
 func TestHWThreadPinning(t *testing.T) {

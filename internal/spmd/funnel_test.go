@@ -97,36 +97,50 @@ func (r *funnelRig) viaNoteAccess(o *funnelOp) {
 type charged struct {
 	Mode    uint8
 	Acc     []int64 // trace words, run-length folding included
-	Costs   []byte  // stage-free cost bytes, AccPlain ones dropped
-	Stalls  costVec // per-class stalls once the segment's charges have folded
+	Held    costVec // per-class stalls already charged before the merge boundary
+	Stalls  costVec // per-class stalls once the segment's trace has replayed
 	Mem     machine.MemCounters
 	Faults  int64
 	FaultNS float64
 }
 
-// settle snapshots the recorded streams, then folds them exactly as the merge
-// boundary would (trace replay / cost-byte fold) so deferred and live rigs
-// are compared on the same terms: per-class stalls and cache-model counters.
+// settle snapshots the recorded trace and the stalls the task holds, then
+// replays the trace exactly as the merge boundary would, so deferred and live
+// rigs are compared on the same terms: per-class stalls and cache-model
+// counters.
 func (r *funnelRig) settle() charged {
-	var c charged
+	c := charged{Held: r.tc.stl}
 	if d := r.tc.def; d != nil {
 		c.Mode = d.mode
 		c.Acc = append([]int64{}, d.acc...)
-		c.Costs = []byte{}
-		for _, b := range d.costs {
-			// The funnel elides AccPlain cost bytes (zero stall row); noteAccess
-			// records them. They fold to +0 either way, which Stalls checks.
-			if machine.AccessKind(b>>2) != machine.AccPlain {
-				c.Costs = append(c.Costs, b)
-			}
-		}
 		r.e.replayAccesses(r.tc)
-		d.acc, d.costs = d.acc[:0], d.costs[:0]
+		d.acc = d.acc[:0]
 	}
 	c.Stalls = r.tc.stl
 	c.Mem = r.e.Mem.Counters()
 	c.Faults, c.FaultNS = r.tc.st.PageFaults, r.e.faultNS
 	return c
+}
+
+// settled is the part of a charge that no costing mode may change.
+func (c charged) settled() charged {
+	return charged{Stalls: c.Stalls, Mem: c.Mem, Faults: c.Faults, FaultNS: c.FaultNS}
+}
+
+// checkTiming holds a mode to when it charges: a recording segment holds no
+// stall before its trace replays; every other mode charges at the probe,
+// records no trace and leaves the replay nothing to add.
+func checkTiming(t *testing.T, seed int64, c charged) {
+	t.Helper()
+	if c.Mode == segRecording {
+		if c.Held != (costVec{}) {
+			t.Fatalf("seed %d: recording segment charged stalls before the merge: %v", seed, c.Held)
+		}
+		return
+	}
+	if len(c.Acc) != 0 || c.Held != c.Stalls {
+		t.Fatalf("seed %d: mode %d recorded %d trace words; held %v before the merge, %v after", seed, c.Mode, len(c.Acc), c.Held, c.Stalls)
+	}
 }
 
 // catchBounds runs f and returns the typed bounds error it unwound with.
@@ -179,9 +193,11 @@ func randFunnelOp(r *rand.Rand, arrs []*Array, width int) funnelOp {
 // batches go through the funnel on one engine and through per-lane
 // checkLane+noteAccess on an identically built twin, in every costing
 // configuration, and everything a charge can move must match — trace words
-// (folding included), cost bytes, per-class stalls bit for bit, cache-model
-// hit counters, pager counters — as must the typed error and the flushed
-// state when a lane is out of bounds.
+// (folding included), the stalls held before the merge, per-class stalls bit
+// for bit, cache-model hit counters, pager counters — as must the typed error
+// and the flushed state when a lane is out of bounds. A third, live rig fed
+// the same batches pins the costing modes to each other: stalls, counters and
+// page faults after the merge equal the live ones in every row.
 func TestChargeFunnelMatchesNoteAccess(t *testing.T) {
 	configs := []struct {
 		name             string
@@ -203,6 +219,7 @@ func TestChargeFunnelMatchesNoteAccess(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				got := newFunnelRig(cfg.mode, cfg.stageFree, cfg.paged)
 				want := newFunnelRig(cfg.mode, cfg.stageFree, cfg.paged)
+				live := newFunnelRig(ExecLive, false, cfg.paged)
 				if got.e.stallTab[machine.AccLoad][machine.L1] == 0 {
 					t.Fatal("stall table not built; the comparison would be vacuous")
 				}
@@ -218,16 +235,28 @@ func TestChargeFunnelMatchesNoteAccess(t *testing.T) {
 					o := randFunnelOp(rng, got.arrs, got.tc.Width)
 					got.viaFunnel(&o)
 					want.viaNoteAccess(&o)
+					live.viaFunnel(&o)
 				}
-				g, w := got.settle(), want.settle()
+				g, w, l := got.settle(), want.settle(), live.settle()
 				if g.Mode != cfg.wantMode {
 					t.Fatalf("seed %d: segment mode %d, want %d", seed, g.Mode, cfg.wantMode)
 				}
 				if !reflect.DeepEqual(g, w) {
 					t.Fatalf("seed %d: funnel diverges from per-lane noteAccess\n got %+v\nwant %+v", seed, g, w)
 				}
+				checkTiming(t, seed, g)
+				if !reflect.DeepEqual(g.settled(), l.settled()) {
+					t.Fatalf("seed %d: merged charge diverges from the live rig\n got %+v\nlive %+v", seed, g.settled(), l.settled())
+				}
 				if g.Stalls == (costVec{}) || g.Mem.Hits[machine.L1] == 0 || g.Mem.Hits[machine.L1] == g.Mem.Accesses {
 					t.Fatalf("seed %d: workload charged nothing or never missed: %+v", seed, g)
+				}
+
+				// The violation starts a new segment: a segment end zeroes the
+				// stall buckets (aggregateSegment), and the modes agree on the
+				// sum a segment charges, not on sums continued across a merge.
+				for _, r := range []*funnelRig{got, want, live} {
+					r.tc.stl = costVec{}
 				}
 
 				// A violation at lane k: same typed error, and lanes below k
@@ -256,11 +285,17 @@ func TestChargeFunnelMatchesNoteAccess(t *testing.T) {
 				}
 				gbe := catchBounds(func() { got.viaFunnel(&o) })
 				wbe := catchBounds(func() { want.viaNoteAccess(&o) })
+				catchBounds(func() { live.viaFunnel(&o) })
 				if gbe == nil || wbe == nil || *gbe != *wbe || *gbe != wantBE {
 					t.Fatalf("seed %d: bounds errors: funnel %+v, reference %+v, want %+v", seed, gbe, wbe, wantBE)
 				}
-				if g, w := got.settle(), want.settle(); !reflect.DeepEqual(g, w) {
+				g, w, l = got.settle(), want.settle(), live.settle()
+				if !reflect.DeepEqual(g, w) {
 					t.Fatalf("seed %d: state after a lane-%d violation diverges\n got %+v\nwant %+v", seed, k, g, w)
+				}
+				checkTiming(t, seed, g)
+				if !reflect.DeepEqual(g.settled(), l.settled()) {
+					t.Fatalf("seed %d: merged charge after a lane-%d violation diverges from the live rig\n got %+v\nlive %+v", seed, k, g.settled(), l.settled())
 				}
 			}
 		})

@@ -124,7 +124,7 @@ type Pager interface {
 
 // Array is a named data array with a synthetic base address for cache and
 // paging simulation. Exactly one of I and F is non-nil. Arrays must be
-// created through the engine (AllocI/AllocF/BindI/BindF), which assigns the
+// created through the engine (AllocI/AllocF/BindI), which assigns the
 // dense engine-scoped id that deferred tasks use to index their shadow
 // buffers without hashing.
 type Array struct {
@@ -133,7 +133,7 @@ type Array struct {
 	F    []float32
 	Base int64
 	id   int32
-	// bound marks an array wrapping a caller-owned slice (BindI/BindF).
+	// bound marks an array wrapping a caller-owned slice (BindI).
 	bound bool
 }
 

@@ -23,11 +23,11 @@ import (
 //     op log when effects are deferred, straight on the array otherwise.
 //
 // Charging all lanes and then moving all lanes is bit-identical to doing both
-// lane by lane: the funnel appends only to the access trace / cost bytes /
-// stall buckets and the cache model, a mover only to the op log, the shadow
-// and the arrays — disjoint state, so each stream sees the same appends in
-// the same ascending-lane order either way. A bounds violation unwinds from
-// the funnel, before any lane of the op has moved.
+// lane by lane: the funnel appends only to the access trace, the stall
+// buckets and the cache model, a mover only to the op log, the shadow and the
+// arrays — disjoint state, so each stream sees the same appends in the same
+// ascending-lane order either way. A bounds violation unwinds from the
+// funnel, before any lane of the op has moved.
 
 // recAccess appends one committed-access trace event to acc with the same
 // line-level run folding noteAccess performs (same staged-bit, kind, count
@@ -51,9 +51,8 @@ func recAccess(acc []int64, addr, k64 int64, ds uint) []int64 {
 
 // chargeLanes is the accounting funnel: it validates idx's active lanes
 // against a and charges one access of the given kind per lane, ascending.
-// Live tasks probe the hierarchy and add the stall; stage-free cooperative
-// segments probe and record one cost byte (none for AccPlain, whose stall row
-// is zero — the fold would add nothing); recording segments append run-folded
+// Live tasks and stage-free cooperative segments probe the hierarchy and add
+// the stall to the task's class bucket; recording segments append run-folded
 // trace words. With a pager attached every mode goes lane by lane through
 // noteAccess, which pages each address. Loop-invariant state is hoisted into
 // locals and flushed before a bounds violation at lane k unwinds the task, so
@@ -91,48 +90,24 @@ func (tc *TaskCtx) chargeLanes(op string, a *Array, idx *vec.Vec, m vec.Mask, ki
 		mm, core := e.Mem, tc.core
 		ls := mm.LineShift()
 		tags, tmask := mm.L1View(core)
-		if d != nil {
-			record, kb := kind != machine.AccPlain, byte(kind)<<2
-			costs := d.costs
-			for bs := uint32(m); bs != 0; bs &= bs - 1 {
-				i := bits.TrailingZeros32(bs)
-				ii := idx[i]
-				if uint32(ii) >= un {
-					bad = i
-					break
-				}
-				addr := base + int64(ii)*4
-				lvl := machine.L1
-				if line := addr >> ls; tags[line&tmask] == line {
-					mm.RepeatHits(1) // inline L1-hit probe
-				} else {
-					lvl = mm.Access(core, addr)
-				}
-				if record {
-					costs = append(costs, kb|byte(lvl))
-				}
+		tab, cls := &e.stallTab[kind], accCostClass[kind]
+		l1c, stall := tab[machine.L1], tc.stl[cls]
+		for bs := uint32(m); bs != 0; bs &= bs - 1 {
+			i := bits.TrailingZeros32(bs)
+			ii := idx[i]
+			if uint32(ii) >= un {
+				bad = i
+				break
 			}
-			d.costs = costs
-		} else {
-			tab, cls := &e.stallTab[kind], accCostClass[kind]
-			l1c, stall := tab[machine.L1], tc.stl[cls]
-			for bs := uint32(m); bs != 0; bs &= bs - 1 {
-				i := bits.TrailingZeros32(bs)
-				ii := idx[i]
-				if uint32(ii) >= un {
-					bad = i
-					break
-				}
-				addr := base + int64(ii)*4
-				if line := addr >> ls; tags[line&tmask] == line {
-					mm.RepeatHits(1) // inline L1-hit probe
-					stall += l1c
-				} else {
-					stall += tab[mm.Access(core, addr)]
-				}
+			addr := base + int64(ii)*4
+			if line := addr >> ls; tags[line&tmask] == int32(line) {
+				mm.RepeatHits(1) // inline L1-hit probe
+				stall += l1c
+			} else {
+				stall += tab[mm.Access(core, addr)]
 			}
-			tc.stl[cls] = stall
 		}
+		tc.stl[cls] = stall
 	}
 	if bad >= 0 {
 		tc.checkLane(op, a, bad, idx[bad]) // out of range: fails the task

@@ -124,13 +124,6 @@ func (v Vec) Slice(w int) []int32 {
 	return out
 }
 
-// SliceF returns the first w lanes of v as a fresh slice.
-func (v FVec) SliceF(w int) []float32 {
-	out := make([]float32, w)
-	copy(out, v[:w])
-	return out
-}
-
 // String renders the first 8 lanes, for debugging.
 func (v Vec) String() string {
 	return fmt.Sprintf("vec%v", v[:8])
