@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race deps-check fuzz gen gen-drift bench bench-diff bench-smoke benchmark-smoke trace-smoke serve-smoke serve-stress chaos crash-chaos profile ci clean
+.PHONY: build vet test race alloc deps-check fuzz gen gen-drift bench bench-diff bench-smoke benchmark-smoke trace-smoke serve-smoke serve-stress chaos crash-chaos profile ci clean
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,16 @@ test:
 # a 2-vCPU machine; the explicit timeout lets the whole suite finish.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The allocation and pool-retention gates skip under the race detector, where
+# allocation volume and sync.Pool retention mean nothing, and race above is
+# the only full test pass CI makes: run them without -race (CI job). The one
+# other test that skips, TestBenchDiff, is bench-diff below.
+alloc:
+	$(GO) test -run '^(TestServeRequestAllocationBudget|TestEngineReuseAcrossPs|TestScalarRungServesReference)$$' -v ./internal/serve
+	$(GO) test -run '^(TestCheckpointSteadyStateAllocationFree|TestResetAllKeepsLayoutFreeCapacity|TestTracingAddsNoAllocations|TestAttributionAddsNoAllocations|TestBarrierHandoffAllocationFree)$$' -v ./internal/spmd
+	$(GO) test -run '^TestGetOnAnotherP$$' -v ./internal/pool
+	$(GO) test -run '^TestReportRoundTrip$$' -v ./internal/obs/perfhist
 
 # Layering gate: the baseline frameworks (Ligra, GraphIt, Galois) are
 # comparison systems for Fig. 4 / Table X, read only by internal/bench. The
@@ -134,7 +144,7 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof cpu.prof"
 
-ci: vet build deps-check gen-drift race bench-smoke benchmark-smoke bench-diff trace-smoke serve-smoke serve-stress
+ci: vet build deps-check gen-drift race alloc bench-smoke benchmark-smoke bench-diff trace-smoke serve-smoke serve-stress
 
 clean:
 	$(GO) clean ./...

@@ -235,9 +235,11 @@ type Config struct {
 	// engine's earlier runs touched, not what the machine model holds, and
 	// the engine keeps the buffers of its recovery point, so this run's
 	// checkpoints (CheckpointEvery) copy into them instead of allocating.
-	// Output arrays of earlier runs on the engine remain valid snapshots;
-	// the reset guarantees this run can observe nothing of them or of the
-	// earlier recovery point.
+	// The engine also keeps its worklist storage, so this run's worklists
+	// allocate nothing either. Output arrays of earlier runs on the engine
+	// remain valid snapshots, but an earlier Result.Instance's worklists do
+	// not: this run clears and reuses their storage. The reset guarantees
+	// this run can observe nothing of them or of the earlier recovery point.
 	Engine *spmd.Engine
 }
 
@@ -269,7 +271,9 @@ type Result struct {
 	TimeMS float64
 	// Stats are the engine's dynamic counters.
 	Stats spmd.Stats
-	// Engine and Instance allow output inspection and re-runs.
+	// Engine and Instance allow output inspection and re-runs. The output
+	// arrays stay valid; the Instance's worklists only until the Engine's
+	// next run (see Config.Engine).
 	Engine   *spmd.Engine
 	Instance *codegen.Instance
 	// Recovery reports checkpoint/rollback activity when Config.CheckpointEvery

@@ -181,3 +181,46 @@ func TestEngineReuseNeedsSameMachine(t *testing.T) {
 		t.Error("engine pooled for another machine model was reused")
 	}
 }
+
+// TestPooledEngineSequenceMatchesFresh runs bfs, sssp and cc tenant after
+// tenant on one engine, on graphs of size large, small, large: each run takes
+// the worklist storage of the one before, smaller than it needs, then larger.
+// Every run must match the same run on a fresh engine in outputs, Stats,
+// recovery counters and modeled cycles, with and without rollbacks.
+func TestPooledEngineSequenceMatchesFresh(t *testing.T) {
+	m := machine.Intel8()
+	sizes := []*graph.CSR{graph.RMAT(9, 8, 63, 5), graph.Random(40, 160, 63, 6), graph.RMAT(9, 8, 63, 7)}
+	recovery := map[string]func() Config{
+		"plain": func() Config { return Config{} },
+		"rollbacks": func() Config {
+			return Config{CheckpointEvery: 1, MaxRollbacks: 200, Inject: fault.NewInjector(42, fault.Config{Transient: 0.15})}
+		},
+	}
+	for _, exec := range []HostExec{HostLive, HostCooperative, HostParallel} {
+		for name, base := range recovery {
+			var pooled *spmd.Engine
+			for step, raw := range sizes {
+				for _, k := range []string{"bfs-wl", "sssp-nf", "cc"} {
+					b := mustKernel(t, k)
+					g := PrepareGraph(b, raw)
+					cfg := base()
+					cfg.Machine, cfg.HostExec, cfg.Src = m, exec, g.MaxDegreeNode()
+					want := snapshot(Run(b, g, cfg))
+					cfg = base()
+					cfg.Machine, cfg.HostExec, cfg.Src, cfg.Engine = m, exec, g.MaxDegreeNode(), pooled
+					res, err := Run(b, g, cfg)
+					got := snapshot(res, err)
+					if err == nil {
+						if pooled != nil && res.Engine != pooled {
+							t.Fatalf("exec %d %s step %d %s: the engine was not reused", exec, name, step, k)
+						}
+						pooled = res.Engine
+					}
+					if err := want.diff(got, fAll, nil); err != nil {
+						t.Errorf("exec %d %s step %d %s: pooled run diverges from fresh: %v", exec, name, step, k, err)
+					}
+				}
+			}
+		}
+	}
+}

@@ -250,10 +250,11 @@ func RefBFS(g *graph.CSR, src int32) []int32 {
 		return lvl
 	}
 	lvl[src] = 0
-	queue := []int32{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	// Every node enters the queue at most once, so n slots never grow.
+	queue := make([]int32, 1, len(lvl))
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
 		for _, d := range g.Neighbors(n) {
 			if lvl[d] == Inf {
 				lvl[d] = lvl[n] + 1

@@ -72,6 +72,63 @@ func TestSSSPEqualsBFSOnUnitWeights(t *testing.T) {
 	}
 }
 
+// Property: on weighted graphs, Dijkstra's distances equal Bellman-Ford's,
+// and BFS levels equal relaxing with unit weights. The fixed points are
+// unique, so the references' queue disciplines cannot show in their output.
+func TestRefsMatchBellmanFord(t *testing.T) {
+	relax := func(g *graph.CSR, src int32, unit bool) []int32 {
+		dist := make([]int32, g.NumNodes())
+		for i := range dist {
+			dist[i] = Inf
+		}
+		dist[src] = 0
+		for changed := true; changed; {
+			changed = false
+			for u := int32(0); u < g.NumNodes(); u++ {
+				if dist[u] == Inf {
+					continue
+				}
+				for e := g.RowPtr[u]; e < g.RowPtr[u+1]; e++ {
+					w := int32(1)
+					if !unit {
+						w = g.EdgeWeight(e)
+					}
+					if d := g.EdgeDst[e]; dist[u]+w < dist[d] {
+						dist[d] = dist[u] + w
+						changed = true
+					}
+				}
+			}
+		}
+		return dist
+	}
+	f := func(seed uint16) bool {
+		g := graph.Random(96, 400, 63, uint64(seed))
+		src := int32(seed) % g.NumNodes()
+		return reflect.DeepEqual(RefSSSP(g, src), relax(g, src, false)) &&
+			reflect.DeepEqual(RefBFS(g, src), relax(g, src, true))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShortestPathRefsAllocateNoPerNodeObjects pins the serial references
+// that the verify path and the reference rung run per request: RefBFS
+// allocates its levels and one queue of n slots, and RefSSSP its distances
+// and a typed heap that boxes nothing, so neither allocates per visited node.
+func TestShortestPathRefsAllocateNoPerNodeObjects(t *testing.T) {
+	g := graph.RMAT(10, 8, 63, 42)
+	src := g.MaxDegreeNode()
+	if allocs := testing.AllocsPerRun(5, func() { RefBFS(g, src) }); allocs != 2 {
+		t.Errorf("RefBFS allocates %.0f objects, want 2 (levels, queue)", allocs)
+	}
+	// The heap keeps stale entries, so it may outgrow its n slots a few times.
+	if allocs := testing.AllocsPerRun(5, func() { RefSSSP(g, src) }); allocs > 4 {
+		t.Errorf("RefSSSP allocates %.0f objects, want at most 4 (distances, heap and its growth)", allocs)
+	}
+}
+
 func TestRefCCPartitions(t *testing.T) {
 	// Two components: {0,1,2}, {3,4}.
 	g, _ := graph.FromEdges(5, []graph.Edge{

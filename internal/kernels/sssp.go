@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/graph"
@@ -88,9 +87,10 @@ func RefSSSP(g *graph.CSR, src int32) []int32 {
 		return dist
 	}
 	dist[src] = 0
-	pq := &nodeHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeDist)
+	pq := make(nodeHeap, 0, len(dist))
+	pq.push(nodeDist{src, 0})
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.d > dist[it.n] {
 			continue
 		}
@@ -99,7 +99,7 @@ func RefSSSP(g *graph.CSR, src int32) []int32 {
 			nd := it.d + g.EdgeWeight(e)
 			if nd < dist[d] {
 				dist[d] = nd
-				heap.Push(pq, nodeDist{d, nd})
+				pq.push(nodeDist{d, nd})
 			}
 		}
 	}
@@ -111,10 +111,47 @@ type nodeDist struct {
 	d int32
 }
 
+// nodeHeap is a binary min-heap on d. It is typed rather than a
+// container/heap.Interface so that push and pop box nothing.
 type nodeHeap []nodeDist
 
-func (h nodeHeap) Len() int           { return len(h) }
-func (h nodeHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
+func (h *nodeHeap) push(x nodeDist) {
+	*h = append(*h, x)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p].d <= x.d {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = x
+}
+
+func (h *nodeHeap) pop() nodeDist {
+	s := *h
+	top, last := s[0], s[len(s)-1]
+	s = s[:len(s)-1]
+	*h = s
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && s[c+1].d < s[c].d {
+			c++
+		}
+		if last.d <= s[c].d {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if len(s) > 0 {
+		s[i] = last
+	}
+	return top
+}

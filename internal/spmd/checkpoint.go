@@ -30,6 +30,7 @@ type checkpoint struct {
 
 	nArrays  int32
 	nPush    int32
+	nScratch int
 	addrMark int64
 
 	// arrI/arrF are indexed by dense array id; the entry of a bound array,
@@ -122,6 +123,7 @@ func (e *Engine) Checkpoint() {
 	cp.iter = e.iter.Load()
 	cp.nArrays = e.nArrays
 	cp.nPush = e.nPush
+	cp.nScratch = e.nScratch
 	cp.addrMark = e.Addr.Mark()
 
 	if cap(cp.arrI) < len(e.arrays) {
@@ -163,10 +165,11 @@ func (e *Engine) Checkpoint() {
 // Restore rewinds the engine to its recovery point, which stays in place for
 // further restores. Arrays registered after the snapshot (e.g. replacements
 // allocated by worklist growth) are dropped from the registry and their
-// synthetic addresses released, so a re-execution that re-allocates them
-// receives identical ids and addresses. Array contents are copied back in
-// place; lengths are unchanged because growth replaces arrays rather than
-// resizing them. It panics when HasCheckpoint is false.
+// synthetic addresses and scratch slabs released, so a re-execution that
+// re-allocates them receives identical ids, addresses and slabs. Array
+// contents are copied back in place; lengths are unchanged because growth
+// replaces arrays rather than resizing them. It panics when HasCheckpoint is
+// false.
 func (e *Engine) Restore() {
 	if !e.HasCheckpoint() {
 		panic("spmd: Engine.Restore without a checkpoint")
@@ -178,6 +181,7 @@ func (e *Engine) Restore() {
 	e.arrays = e.arrays[:cp.nArrays]
 	e.nArrays = cp.nArrays
 	e.nPush = cp.nPush
+	e.nScratch = cp.nScratch
 	e.Addr.Rewind(cp.addrMark)
 
 	for i, a := range e.arrays {

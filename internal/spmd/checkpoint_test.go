@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/vec"
 )
 
@@ -211,5 +212,30 @@ func TestCheckpointSteadyStateAllocationFree(t *testing.T) {
 		e.Restore()
 	}); allocs != 0 {
 		t.Errorf("checkpoint+restore after ResetAll allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestRestoreReleasesScratchTakenAfter pins that Restore hands back the
+// scratch slabs taken after the snapshot (a worklist's growth replacement):
+// the re-execution's allocation gets the same slab, cleared, at the same
+// synthetic address, and the slabs taken before the snapshot keep their
+// contents.
+func TestRestoreReleasesScratchTakenAfter(t *testing.T) {
+	e := New(machine.Intel8(), vec.TargetAVX512x16, 1)
+	kept := e.AllocScratchI("kept", 8)
+	kept.I[3] = 7
+	e.Checkpoint()
+	grown := e.AllocScratchI("grown", 32)
+	grown.I[31] = 9
+	e.Restore()
+	again := e.AllocScratchI("grown", 32)
+	if &again.I[0] != &grown.I[0] || again.Base != grown.Base {
+		t.Fatalf("re-allocation after Restore got another slab or address (base %#x, was %#x)", again.Base, grown.Base)
+	}
+	if again.I[31] != 0 {
+		t.Fatalf("re-allocated slab holds %d from before the rollback", again.I[31])
+	}
+	if kept.I[3] != 7 {
+		t.Fatalf("slab taken before the snapshot lost its contents: %d", kept.I[3])
 	}
 }

@@ -108,6 +108,13 @@ type Engine struct {
 	arrays  []*Array
 	cp      *checkpoint
 
+	// scratch holds the host backing of the arrays AllocScratchI hands out
+	// (worklist items and tails), in allocation order; nScratch counts the
+	// slabs taken since New or the last ResetAll, which rewinds it so the
+	// next run is handed the same slabs in the same order.
+	scratch  [][]int32
+	nScratch int
+
 	// gen is the engine's reuse generation, drawn from the package-wide
 	// engineGen counter by New and again by ResetAll. Pooled deferred
 	// contexts (defPool, shared by every engine) stamp the generation they
@@ -224,6 +231,30 @@ func (e *Engine) AllocI(name string, n int) *Array {
 	return e.register(&Array{Name: name, I: make([]int32, n), Base: e.Addr.Alloc(int64(n) * 4)})
 }
 
+// AllocScratchI allocates a zeroed int32 array like AllocI, but its host
+// backing belongs to the engine: after ResetAll, the next run's k-th
+// AllocScratchI gets the k-th slab back, cleared, and a slab is replaced only
+// when the new run needs more room. The synthetic address comes from the
+// same allocator in the same call order, so the modeled cycles are AllocI's.
+// It is for arrays that never leave a run (worklist storage): their contents
+// are valid only until the engine's next ResetAll.
+func (e *Engine) AllocScratchI(name string, n int) *Array {
+	var s []int32
+	if e.nScratch < len(e.scratch) && cap(e.scratch[e.nScratch]) >= n {
+		s = e.scratch[e.nScratch][:n]
+		clear(s)
+	} else {
+		s = make([]int32, n)
+		if e.nScratch < len(e.scratch) {
+			e.scratch[e.nScratch] = s
+		} else {
+			e.scratch = append(e.scratch, s)
+		}
+	}
+	e.nScratch++
+	return e.register(&Array{Name: name, I: s[:n:n], Base: e.Addr.Alloc(int64(n) * 4)})
+}
+
 // AllocF allocates a zeroed float32 array with a synthetic address.
 func (e *Engine) AllocF(name string, n int) *Array {
 	return e.register(&Array{Name: name, F: make([]float32, n), Base: e.Addr.Alloc(int64(n) * 4)})
@@ -292,13 +323,15 @@ func (e *Engine) ResetTime() {
 // runs are invalidated by a generation bump (their shadow and batch tables
 // are keyed by dense ids the new run will reissue). Layout-independent buffer
 // capacity — op logs, access traces, batch item slots, aggregation scratch,
-// the recovery point's array buffers and cache-tag mirror — is retained,
-// which is the point of pooling the engine at all.
+// the recovery point's array buffers and cache-tag mirror, and the worklist
+// storage slabs of AllocScratchI — is retained, which is the point of
+// pooling the engine at all.
 //
 // The machine model is fixed at New; target and tasks are reconfigurable per
-// reuse (tasks <= 0 selects the machine default). Slices handed out by a
-// previous run (result arrays) remain valid snapshots: a fresh run allocates
-// fresh backing arrays and never touches them.
+// reuse (tasks <= 0 selects the machine default). Arrays from AllocI and
+// AllocF (a previous run's result arrays) remain valid snapshots: a fresh
+// run allocates fresh backing arrays and never touches them. Arrays from
+// AllocScratchI do not: the next run clears and reuses their slabs.
 func (e *Engine) ResetAll(target vec.Target, tasks int) {
 	if tasks <= 0 {
 		tasks = e.Machine.DefaultTasks
@@ -339,6 +372,7 @@ func (e *Engine) ResetAll(target vec.Target, tasks int) {
 	e.arrays = e.arrays[:0]
 	e.nArrays = 0
 	e.nPush = 0
+	e.nScratch = 0
 	e.DropCheckpoint()
 	e.Addr.Reset()
 	e.Mem.Reset()

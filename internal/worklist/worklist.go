@@ -36,12 +36,15 @@ type WL struct {
 	Grow bool
 }
 
-// New allocates a worklist with the given capacity.
+// New allocates a worklist with the given capacity. Its items and tail live
+// in the engine's scratch storage (spmd.Engine.AllocScratchI): a list is
+// valid until the engine's next ResetAll, which hands the storage to the
+// next run.
 func New(e *spmd.Engine, name string, capacity int) *WL {
 	return &WL{
 		Name:  name,
-		Items: e.AllocI(name+".items", capacity),
-		tail:  e.AllocI(name+".tail", 1),
+		Items: e.AllocScratchI(name+".items", capacity),
+		tail:  e.AllocScratchI(name+".tail", 1),
 		e:     e,
 		id:    e.RegisterPushTarget(),
 	}
@@ -118,7 +121,7 @@ func (w *WL) grow(need int) {
 	if newCap < need {
 		newCap = need
 	}
-	items := w.e.AllocI(w.Name+".items", newCap)
+	items := w.e.AllocScratchI(w.Name+".items", newCap)
 	copy(items.I, w.Items.I)
 	w.Items = items
 }
