@@ -97,14 +97,19 @@ benchmark-smoke:
 	$(GO) -C benchmark test .
 	$(GO) -C benchmark run . -smoke
 
-# End-to-end trace check: run a kernel with -trace, then validate the written
-# file against the Chrome trace-event schema (CI job).
+# End-to-end trace check: run a kernel with -trace and -attrib -, require the
+# per-class and per-phase attribution tables in its output, then validate the
+# written trace file against the Chrome trace-event schema (CI job).
 trace-smoke:
 	$(GO) run ./cmd/egacs -bench bfs-wl -input rmat -scale test \
-		-trace $(CURDIR)/trace-smoke.json -metrics $(CURDIR)/trace-smoke.jsonl
+		-trace $(CURDIR)/trace-smoke.json -metrics $(CURDIR)/trace-smoke.jsonl \
+		-attrib - > $(CURDIR)/trace-smoke.txt
+	@cat $(CURDIR)/trace-smoke.txt
+	grep -q '^total ' $(CURDIR)/trace-smoke.txt
+	grep -q '^phase ' $(CURDIR)/trace-smoke.txt
 	EGACS_TRACE_FILE=$(CURDIR)/trace-smoke.json \
 		$(GO) test -run '^TestTraceFileValid$$' -v ./internal/obs
-	@rm -f $(CURDIR)/trace-smoke.json $(CURDIR)/trace-smoke.jsonl
+	@rm -f $(CURDIR)/trace-smoke.json $(CURDIR)/trace-smoke.jsonl $(CURDIR)/trace-smoke.txt
 
 # End-to-end daemon check: build the real egacs-serve binary, boot it on an
 # ephemeral port with fault injection armed, hit it from concurrent clients

@@ -54,11 +54,10 @@ func main() {
 		verify     = flag.Bool("verify", true, "check output against the serial reference")
 		emit       = flag.Bool("emit", false, "print the generated ISPC source and exit")
 		serial     = flag.Bool("serial", false, "run the serial build (scalar, 1 task, no opts)")
-		profile    = flag.Bool("profile", false, "print a per-kernel phase profile")
 		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON instead of text")
-		hostPar    = flag.Bool("host-parallel", true, "run SPMD tasks concurrently on host cores (modeled time is unchanged); false selects the cooperative reference scheduler. -fault-inject forces the live scheduler; -profile works in every mode")
+		hostPar    = flag.Bool("host-parallel", true, "run SPMD tasks concurrently on host cores (modeled time is unchanged); false selects the cooperative reference scheduler. -fault-inject forces the live scheduler; -attrib works in every mode")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON timeline (modeled + host clocks) to this file; open in Perfetto or chrome://tracing")
-		attribOut  = flag.String("attrib", "", "write the per-phase per-cost-class cycle attribution as a collapsed-stack (flamegraph) profile to this file; '-' prints it (with a per-class summary table) to stdout")
+		attribOut  = flag.String("attrib", "", "write the per-phase per-cost-class cycle attribution as a collapsed-stack (flamegraph) profile to this file; '-' prints it (with per-class and per-phase summary tables) to stdout")
 		metricsOut = flag.String("metrics", "", "write per-iteration metrics (frontier, lane utilization, cache hits, ...) as JSONL to this file")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file after the run")
@@ -103,12 +102,11 @@ func main() {
 	fail(err)
 
 	cfg := core.Config{
-		Machine:        m,
-		Tasks:          *tasks,
-		NoSMT:          *noSMT,
-		TaskSys:        &ts,
-		Opts:           &opts,
-		ProfileKernels: *profile,
+		Machine: m,
+		Tasks:   *tasks,
+		NoSMT:   *noSMT,
+		TaskSys: &ts,
+		Opts:    &opts,
 	}
 	if *serial {
 		cfg = core.SerialConfig(m)
@@ -234,11 +232,6 @@ func main() {
 			res.Recovery.BadCheckpoints, res.Recovery.WastedCycles)
 	}
 
-	if *profile {
-		fmt.Println()
-		res.Engine.WriteProfile(os.Stdout)
-	}
-
 	if *verify {
 		if err := core.Verify(bench, g, res); err != nil {
 			fmt.Fprintf(os.Stderr, "VERIFY FAILED: %v\n", err)
@@ -271,7 +264,7 @@ func exportObs(cfg core.Config, tracePath, metricsPath string, jsonOut bool) {
 // writeAttrib renders the cycle attribution as a collapsed-stack profile
 // (one "root;phase;class cycles" line per non-zero bucket, the folded format
 // flamegraph tooling consumes). Path "-" writes to stdout and appends the
-// human-readable per-class summary table.
+// human-readable per-class and per-phase summary tables.
 func writeAttrib(attr *obs.Attribution, path, root string, jsonOut bool) error {
 	if path == "-" {
 		attr.WriteCollapsed(os.Stdout, root)

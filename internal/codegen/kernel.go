@@ -87,9 +87,6 @@ func compileKernel(prog *ir.Program, k *ir.Kernel) (*kernelCode, error) {
 	}, nil
 }
 
-// totalRegs is the live register estimate used to cost NP lane shuffles.
-func (kc *kernelCode) totalRegs() int { return kc.nI + kc.nF + kc.nM }
-
 // runTask executes the kernel for one task's slice of the domain. It is
 // called from both launch-per-iteration and outlined drivers.
 func (kc *kernelCode) runTask(in *Instance, tc *spmd.TaskCtx) {

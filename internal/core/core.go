@@ -173,10 +173,6 @@ type Config struct {
 	Params map[string]int32
 	// Pager, when set, attaches the virtual-memory simulator.
 	Pager spmd.Pager
-	// ProfileKernels enables per-kernel phase attribution in every
-	// execution mode; read the result via Result.Engine.Profile() or
-	// WriteProfile.
-	ProfileKernels bool
 	// Trace attaches a span tracer recording kernel launches, barriers,
 	// per-task segments, pipe-loop iterations and worklist swaps on the
 	// modeled and host clocks; export with Tracer.Export or WriteFile.
@@ -191,8 +187,8 @@ type Config struct {
 	Inject *fault.Injector
 	// HostExec selects the host scheduler (default live; see the HostExec
 	// constants). Index-corruption injection and LiveAtomics programs run
-	// live whatever is asked; profiling, tracing and metrics work in every
-	// mode.
+	// live whatever is asked; cycle attribution, tracing and metrics work
+	// in every mode.
 	HostExec HostExec
 	// CheckpointEvery, when positive, snapshots engine-visible state at
 	// top-level pipe-loop heads every that many iterations and rolls back to
@@ -422,9 +418,6 @@ func run(b *kernels.Benchmark, g *graph.CSR, cfg Config) (*Result, error) {
 	e.Budget = cfg.Budget
 	e.Inject = cfg.Inject
 	e.Exec = resolveExec(cfg.HostExec, prog)
-	if cfg.ProfileKernels {
-		e.EnableProfiling()
-	}
 	e.Trace = cfg.Trace
 	e.Metrics = cfg.Metrics
 

@@ -11,9 +11,8 @@ import (
 // both deferred modes: host scheduling must never leak into modeled time,
 // stats or outputs, and no data structure on the merge path may iterate in a
 // nondeterministic order. (The deferred effect state is slices traversed in
-// insertion order — shadows by array id, batches by first-use order — so the
-// only ordered map traversal left on a result-affecting path is the profiler,
-// which sorts before reporting.)
+// insertion order — shadows by array id, batches by first-use order — and the
+// attribution table folds phases in sorted-name order, never by map order.)
 func TestParallelRepeatable(t *testing.T) {
 	b, _ := kernels.ByName("sssp-nf")
 	g := PrepareGraph(b, graph.RMAT(9, 8, 16, 4))

@@ -19,14 +19,14 @@ import (
 //     timestamp, duration, argument) is bit-identical across repeated runs in
 //     every execution mode — host scheduling never leaks into it.
 //   - Cooperative-deferred and parallel execution produce bit-identical
-//     modeled tracks, metrics series and phase profiles: they run the same
+//     modeled tracks, metrics series and cycle attribution: they run the same
 //     deferred-effect semantics and differ only in host scheduling.
 //   - ExecLive is a semantically different scheduler (immediate cross-task
 //     atomic visibility inside a segment), so on work-efficient kernels like
 //     bfs-wl it legitimately executes different work (fewer duplicate
 //     relaxations) and its timeline differs where the work differs. Where
-//     live does identical work (pr), its per-phase stats match the deferred
-//     modes exactly and cycles agree to float-accumulation order.
+//     live does identical work (pr), its stats match the deferred modes
+//     exactly and its per-phase cycles agree to float-accumulation order.
 //
 // The all-three-modes attribution proof on a mode-invariant workload lives in
 // internal/spmd (TestProfileIdenticalAcrossModes).
@@ -110,66 +110,59 @@ func TestTraceModeledTimelineDeterministic(t *testing.T) {
 	}
 }
 
-// TestProfilePhaseSumsMatchAcrossModes is the tentpole differential gate for
-// deferred-mode profiling: profiling no longer forces the live scheduler, and
-// fold-at-merge attribution in parallel execution is bit-identical to the
-// cooperative reference. Live execution — different semantics, see the file
-// comment — must still agree on phase structure, and on pr (identical work in
-// all modes) on exact per-phase stats too.
+// TestProfilePhaseSumsMatchAcrossModes is the differential gate for per-phase
+// cycle attribution at the kernel level: parallel execution is bit-identical
+// to the cooperative reference. Live execution — different semantics, see the
+// file comment — must still list the same phases, and on pr (identical work
+// in all modes) agree on whole-run stats exactly and on per-phase cycles to
+// float-accumulation order.
 func TestProfilePhaseSumsMatchAcrossModes(t *testing.T) {
-	type phaseRow struct {
-		Stats  spmd.Stats
-		Cycles float64
-		Visits int64
-	}
 	for _, name := range obsKernelNames {
 		b := obsBench(t, name)
 		g := PrepareGraph(b, graph.RMAT(9, 8, 16, 7))
-		profiles := map[string]map[string]phaseRow{}
+		attrs := map[string]obs.Attribution{}
+		stats := map[string]spmd.Stats{}
 		for _, mode := range obsModes {
-			res, err := Run(b, g, Config{Tasks: 4, HostExec: mode.exec, ProfileKernels: true})
+			res, err := Run(b, g, Config{Tasks: 4, HostExec: mode.exec})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, mode.name, err)
 			}
 			if mode.exec == HostParallel && !res.Engine.DeferredExec() {
-				t.Errorf("%s: profiling forced the live scheduler under HostParallel", name)
+				t.Errorf("%s: HostParallel ran on the live scheduler", name)
 			}
-			got := map[string]phaseRow{}
-			for _, ps := range res.Engine.Profile() {
-				got[ps.Name] = phaseRow{Stats: ps.Stats, Cycles: ps.Cycles, Visits: ps.Visits}
+			a := res.Engine.Attribution()
+			if len(a.Phases) == 0 {
+				t.Fatalf("%s/%s: empty attribution", name, mode.name)
 			}
-			if len(got) == 0 {
-				t.Fatalf("%s/%s: empty profile", name, mode.name)
-			}
-			profiles[mode.name] = got
+			attrs[mode.name] = a
+			stats[mode.name] = res.Stats
 		}
-		if !reflect.DeepEqual(profiles["cooperative"], profiles["parallel"]) {
+		if !reflect.DeepEqual(attrs["cooperative"], attrs["parallel"]) {
 			t.Errorf("%s: phase attribution diverges between deferred modes:\ncooperative %+v\nparallel    %+v",
-				name, profiles["cooperative"], profiles["parallel"])
+				name, attrs["cooperative"], attrs["parallel"])
 		}
-		live, coop := profiles["live"], profiles["cooperative"]
+		if name == "pr" && stats["live"] != stats["cooperative"] {
+			t.Errorf("pr: stats diverge between live and deferred:\nlive     %+v\ndeferred %+v",
+				stats["live"], stats["cooperative"])
+		}
+		live, coop := attrs["live"].Phases, attrs["cooperative"].Phases
 		if len(live) != len(coop) {
-			t.Errorf("%s: live profile has %d phases, deferred %d", name, len(live), len(coop))
+			t.Errorf("%s: live attribution has %d phases, deferred %d", name, len(live), len(coop))
+			continue
 		}
-		for ph, lr := range live {
-			cr, ok := coop[ph]
-			if !ok {
-				t.Errorf("%s: phase %q missing from deferred profile", name, ph)
+		for i := range live {
+			lp, cp := &live[i], &coop[i]
+			if lp.Phase != cp.Phase {
+				t.Errorf("%s: phase %d is %q live, %q deferred", name, i, lp.Phase, cp.Phase)
 				continue
-			}
-			if lr.Visits != cr.Visits {
-				t.Errorf("%s/%s: visits %d (live) vs %d (deferred)", name, ph, lr.Visits, cr.Visits)
 			}
 			if name != "pr" {
 				continue
 			}
-			if lr.Stats != cr.Stats {
-				t.Errorf("%s/%s: per-phase stats diverge between live and deferred:\nlive     %+v\ndeferred %+v",
-					name, ph, lr.Stats, cr.Stats)
-			}
-			if d := math.Abs(lr.Cycles - cr.Cycles); d > 1e-9*math.Abs(cr.Cycles) {
+			lc, cc := lp.Total(), cp.Total()
+			if d := math.Abs(lc - cc); d > 1e-9*math.Abs(cc) {
 				t.Errorf("%s/%s: cycles %v (live) vs %v (deferred) beyond accumulation-order tolerance",
-					name, ph, lr.Cycles, cr.Cycles)
+					name, lp.Phase, lc, cc)
 			}
 		}
 	}

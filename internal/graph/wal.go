@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"repro/internal/fault"
 )
@@ -71,12 +70,6 @@ func EncodeBatch(b Batch) []byte {
 	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, walCRC))
 	copy(rec[walHeaderBytes:], payload)
 	return rec
-}
-
-// AppendBatch writes one encoded batch record to w, returning the bytes
-// written.
-func AppendBatch(w io.Writer, b Batch) (int, error) {
-	return w.Write(EncodeBatch(b))
 }
 
 // WALReplay is the result of replaying one delta-log byte stream.

@@ -69,22 +69,19 @@ var builders = []struct {
 // paperSuite is the number of leading builders that are the paper's suite.
 const paperSuite = 10
 
-func buildAll(lo, hi int) []*Benchmark {
-	out := make([]*Benchmark, 0, hi-lo)
-	for _, b := range builders[lo:hi] {
+func buildAll(n int) []*Benchmark {
+	out := make([]*Benchmark, 0, n)
+	for _, b := range builders[:n] {
 		out = append(out, b.build())
 	}
 	return out
 }
 
 // All returns the paper's benchmark suite in presentation order (Table VIII).
-func All() []*Benchmark { return buildAll(0, paperSuite) }
-
-// Extensions returns benchmarks added beyond the paper's suite.
-func Extensions() []*Benchmark { return buildAll(paperSuite, len(builders)) }
+func All() []*Benchmark { return buildAll(paperSuite) }
 
 // AllWithExtensions returns the paper suite followed by the extensions.
-func AllWithExtensions() []*Benchmark { return buildAll(0, len(builders)) }
+func AllWithExtensions() []*Benchmark { return buildAll(len(builders)) }
 
 // ByName returns the named benchmark (paper suite or extension).
 func ByName(name string) (*Benchmark, error) {

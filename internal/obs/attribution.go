@@ -183,24 +183,42 @@ func (a *Attribution) WriteCollapsed(w io.Writer, root string) {
 	}
 }
 
-// WriteText renders a per-class summary table with per-phase columns folded
-// out, largest class first within the listed phase order preserved.
+// Total folds the phase's classes in class index order.
+func (p *AttrPhase) Total() float64 {
+	var sum float64
+	for c := 0; c < int(NumCostClasses); c++ {
+		sum += p.Cycles[c]
+	}
+	return sum
+}
+
+// WriteText renders two summary tables, each row with its cycles and share of
+// Total: one row per non-zero cost class in class index order, then one row
+// per phase in the listed (sorted-name) order.
 func (a *Attribution) WriteText(w io.Writer) {
 	totals := a.ClassTotals()
 	total := a.Total()
+	pct := func(v float64) float64 {
+		if total > 0 {
+			return 100 * v / total
+		}
+		return 0
+	}
 	fmt.Fprintf(w, "%-14s %16s %7s\n", "class", "cycles", "%")
 	for c := CostClass(0); c < NumCostClasses; c++ {
 		if totals[c] == 0 {
 			continue
 		}
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * totals[c] / total
-		}
-		fmt.Fprintf(w, "%-14s %16.0f %6.2f%%\n", c, totals[c], pct)
+		fmt.Fprintf(w, "%-14s %16.0f %6.2f%%\n", c, totals[c], pct(totals[c]))
 	}
 	fmt.Fprintf(w, "%-14s %16.0f %7s\n", "total", total, "")
 	if a.Wasted != 0 {
 		fmt.Fprintf(w, "%-14s %16.0f %7s\n", "rolled-back", a.Wasted, "")
+	}
+	fmt.Fprintf(w, "\n%-14s %16s %7s\n", "phase", "cycles", "%")
+	for i := range a.Phases {
+		p := &a.Phases[i]
+		v := p.Total()
+		fmt.Fprintf(w, "%-14s %16.0f %6.2f%%\n", p.Phase, v, pct(v))
 	}
 }

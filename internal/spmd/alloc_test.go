@@ -259,9 +259,8 @@ func TestAttributionAddsNoAllocations(t *testing.T) {
 // The repeated-run comparison doubles as the determinism guard for the
 // former map-based implementation: the deferred structures are now slices
 // traversed in insertion order (shadows by array id, batches by first-use
-// order), and the remaining map iterations in the codebase — kernel array
-// footprints (module.go) and profile accumulation (profile.go) — fold
-// commutatively or sort before reporting.
+// order), and the remaining map iteration in the codebase — kernel array
+// footprints (module.go) — folds commutatively.
 func TestPoolReuseAcrossLaunches(t *testing.T) {
 	run := func(mode Exec) (float64, Stats, []int32) {
 		e := newModeEngine(4, mode)

@@ -137,6 +137,16 @@ func (e *Engine) attrMark(name string) {
 	t.cur = t.register(name)
 }
 
+// MarkPhase records entry into a named phase from the host side: it stores
+// the name for failure context and moves the attribution cursor. It runs
+// between launches on the host goroutine, which is single-threaded in every
+// execution mode. Task bodies use TaskCtx.MarkPhase, which also attributes
+// correctly in the deferred and parallel modes.
+func (e *Engine) MarkPhase(name string) {
+	e.phase.Store(&name)
+	e.attrMark(name)
+}
+
 // refoldCycles recomputes the modeled clock as the canonical fold of the
 // attribution buckets: per class (index order), fold phases in sorted-name
 // order, then fold the class totals. Called after every boundary charge; this

@@ -242,11 +242,10 @@ type deferredCtx struct {
 
 	serialAtomics float64
 
-	// phLog records this task's phase transitions during the segment; the
-	// merge boundary replays it through the attribution cursor (and the
-	// profiler, when enabled) and reset clears it. Capacity persists across
-	// segments via the pool.
-	phLog []phaseEntry
+	// phLog records the names of this task's phase transitions during the
+	// segment; the merge boundary replays it through the attribution cursor
+	// and reset clears it. Capacity persists across segments via the pool.
+	phLog []string
 
 	// gen is the engine reuse generation this context's dense-id-keyed
 	// state was built under (see Engine.gen / Engine.ResetAll).
@@ -623,11 +622,8 @@ func (e *Engine) mergeSegment(tcs []*TaskCtx) error {
 		// the segment cost aggregated after this merge charges to the same
 		// phase in every mode. Registration order is also reproduced, which
 		// keeps bucket slot ids mode-invariant.
-		for i := range d.phLog {
-			e.attrMark(d.phLog[i].name)
-		}
-		if e.prof != nil {
-			e.prof.foldTask(e, tc)
+		for _, name := range d.phLog {
+			e.attrMark(name)
 		}
 		e.Stats.Add(&tc.shard)
 		tc.shard = Stats{}

@@ -57,7 +57,7 @@ type Engine struct {
 	// Exec selects the execution strategy. Mid-segment fault injection
 	// (index corruption) forces ExecLive regardless of this setting (see
 	// execMode); boundary-drawn injection classes (overflow, bit-flip,
-	// transient), profiling, tracing and metrics work in every mode.
+	// transient), cycle attribution, tracing and metrics work in every mode.
 	Exec Exec
 
 	Mem   *machine.MemModel
@@ -157,8 +157,6 @@ type Engine struct {
 	opCost [vec.NumOpClasses][2]opCostEntry
 	// invIPC caches 1/Machine.IPC for the scalar-op charge.
 	invIPC float64
-
-	prof *profiler // nil unless EnableProfiling was called
 
 	// attr holds the per-(phase, cost class) cycle buckets the modeled clock
 	// is defined over (see attr.go). cycles above is always the canonical
@@ -351,7 +349,6 @@ func (e *Engine) ResetAll(target vec.Target, tasks int) {
 	e.Inject = nil
 	e.Trace = nil
 	e.Metrics = nil
-	e.prof = nil
 
 	e.attr.reset()
 	e.refoldCycles()
@@ -384,9 +381,7 @@ func (e *Engine) ResetAll(target vec.Target, tasks int) {
 // the live cooperative path keeps its draw order deterministic; that class
 // forces ExecLive. Boundary-drawn classes (overflow at worklist
 // materialization, bit-flip and transient faults at single-writer windows)
-// keep the configured mode. Profiling attributes through per-task phase logs
-// in the deferred modes (see profiler.foldTask) and no longer constrains the
-// mode.
+// keep the configured mode.
 func (e *Engine) execMode() Exec {
 	if e.Inject != nil && e.Inject.LiveOnly() {
 		return ExecLive

@@ -164,3 +164,22 @@ func (e *Engine) NoteRollback(wasted float64) {
 			e.usCycles(e.cycles), "wasted_cycles", int64(wasted))
 	}
 }
+
+// deltaSub computes a - b in place over the per-iteration counters the
+// metrics rows carry (counters only grow, so deltas are non-negative).
+func deltaSub(a, b *Stats) {
+	a.Instructions -= b.Instructions
+	for i := range a.ByClass {
+		a.ByClass[i] -= b.ByClass[i]
+	}
+	a.VectorOps -= b.VectorOps
+	a.ScalarOps -= b.ScalarOps
+	a.Atomics -= b.Atomics
+	a.AtomicPushes -= b.AtomicPushes
+	a.InnerVectorOps -= b.InnerVectorOps
+	a.InnerActiveLanes -= b.InnerActiveLanes
+	a.Launches -= b.Launches
+	a.Barriers -= b.Barriers
+	a.WorkItems -= b.WorkItems
+	a.PageFaults -= b.PageFaults
+}

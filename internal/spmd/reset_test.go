@@ -90,13 +90,12 @@ func TestResetAllIsolatesRuns(t *testing.T) {
 }
 
 // TestResetAllClearsRunConfig pins that attachments and budgets from one
-// request can't leak into the next: a budget, injector, pager and profiler
+// request can't leak into the next: a budget, injector and SMT setting
 // configured for run 1 are gone after ResetAll.
 func TestResetAllClearsRunConfig(t *testing.T) {
 	e := newModeEngine(2, ExecDeferred)
 	e.Budget = fault.Budget{MaxIters: 3, MaxCycles: 12, StallWindow: 2}
 	e.Inject = fault.NewInjector(7, fault.Config{Transient: 1})
-	e.EnableProfiling()
 	e.NoSMT = true
 	e.AddCycles(1e6)
 
@@ -107,9 +106,6 @@ func TestResetAllClearsRunConfig(t *testing.T) {
 	}
 	if e.Inject != nil {
 		t.Error("injector survived ResetAll")
-	}
-	if e.prof != nil {
-		t.Error("profiler survived ResetAll")
 	}
 	if e.NoSMT {
 		t.Error("NoSMT survived ResetAll")

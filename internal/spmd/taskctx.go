@@ -127,12 +127,11 @@ func (tc *TaskCtx) checkLane(op string, a *Array, lane int, idx int32) {
 	}
 }
 
-// MarkPhase records entry into a named profiling phase from inside a task
-// body (compiled kernels call it on kernel entry). The name is always stored
-// for failure context. With profiling enabled, live tasks attribute through
-// the engine-level snapshot profiler directly; deferred and parallel tasks
-// append to their private phase log, which the profiler folds into the same
-// per-phase sums at the next merge boundary.
+// MarkPhase records entry into a named phase from inside a task body
+// (compiled kernels call it on kernel entry). The name is always stored for
+// failure context. Live tasks move the attribution cursor directly; deferred
+// and parallel tasks append the name to their private phase log, which the
+// merge boundary replays through the same cursor.
 func (tc *TaskCtx) MarkPhase(name string) {
 	e := tc.E
 	if p, ok := e.phaseNames.Load(name); ok {
@@ -146,16 +145,12 @@ func (tc *TaskCtx) MarkPhase(name string) {
 		// Live tasks run one at a time on the cooperative scheduler, so the
 		// attribution cursor moves in global execution order.
 		e.attrMark(name)
-		if p := e.prof; p != nil {
-			p.flush(e)
-			p.enter(name)
-		}
 		return
 	}
 	// Deferred/parallel tasks cannot touch shared state mid-segment; the log
-	// replays through attrMark (and the profiler, when enabled) at the merge
-	// boundary in task order — the order live execution would have used.
-	tc.def.phLog = append(tc.def.phLog, phaseEntry{name: name, base: tc.shard})
+	// replays through attrMark at the merge boundary in task order — the
+	// order live execution would have used.
+	tc.def.phLog = append(tc.def.phLog, name)
 }
 
 // Barrier synchronizes all live tasks of the current launch. Calling it from
@@ -275,23 +270,17 @@ func (tc *TaskCtx) gatherKind() machine.AccessKind {
 }
 
 // PackedStore packs active lanes of val to a.I[start:] and returns the count
-// (ISPC packed_store_active).
+// (ISPC packed_store_active). Live tasks only: deferred tasks stage packed
+// pushes through a push batch (Batch, StageMasked), so a deferred call is a
+// kernel bug and fails the task.
 func (tc *TaskCtx) PackedStore(a *Array, start int32, val vec.Vec, m vec.Mask) int {
+	if tc.def != nil {
+		tc.Fail(fmt.Errorf("TaskCtx.PackedStore in a deferred task: %w", fault.ErrKernelPanic))
+	}
 	tc.Op(vec.ClassPacked, true)
 	n := m.PopCount()
 	for i := 0; i < n; i++ {
 		tc.noteAccess(a.Addr(start+int32(i)), machine.AccPlain)
-	}
-	if d := tc.def; d != nil {
-		k := start
-		for i := 0; i < tc.Width; i++ {
-			if m.Bit(i) {
-				tc.checkLane("packed-store", a, i, k)
-				d.storeI(a, k, val[i])
-				k++
-			}
-		}
-		return int(k - start)
 	}
 	out, err := vec.PackedStoreActiveChecked(a.I, start, val, m, tc.Width)
 	if err != nil {

@@ -1,8 +1,10 @@
 package spmd
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/vec"
 )
@@ -130,6 +132,45 @@ func TestPackedStoreCounts(t *testing.T) {
 	}
 	if a.I[10] != 2 || a.I[11] != 5 || a.I[12] != 11 {
 		t.Errorf("packed = %v", a.I[10:13])
+	}
+}
+
+// TestPackedStorePastEndFails: a live packed store that would run past the
+// array's end fails the launch with a typed bounds error naming the array,
+// and stores nothing.
+func TestPackedStorePastEndFails(t *testing.T) {
+	e := New(machine.Intel8(), vec.TargetAVX512x16, 1)
+	a := e.AllocI("wl", 16)
+	err := e.Launch(1, func(tc *TaskCtx) {
+		tc.PackedStore(a, 14, vec.Splat(7), vec.Mask(0b111))
+	})
+	var be *fault.BoundsError
+	if !errors.As(err, &be) {
+		t.Fatalf("error %v (%T) is not a *fault.BoundsError", err, err)
+	}
+	if be.Array != "wl" {
+		t.Errorf("bounds error names array %q, want %q", be.Array, "wl")
+	}
+	for i, v := range a.I {
+		if v != 0 {
+			t.Errorf("a[%d] = %d after a failed packed store", i, v)
+		}
+	}
+}
+
+// TestPackedStoreDeferredFails: deferred tasks stage packed pushes through a
+// push batch, so calling PackedStore from one is a kernel bug.
+func TestPackedStoreDeferredFails(t *testing.T) {
+	for _, mode := range []Exec{ExecDeferred, ExecParallel} {
+		e := New(machine.Intel8(), vec.TargetAVX512x16, 2)
+		e.Exec = mode
+		a := e.AllocI("wl", 64)
+		err := e.Launch(2, func(tc *TaskCtx) {
+			tc.PackedStore(a, 0, vec.Iota(), vec.Mask(0b11))
+		})
+		if !errors.Is(err, fault.ErrKernelPanic) {
+			t.Errorf("mode %d: error %v does not match ErrKernelPanic", mode, err)
+		}
 	}
 }
 
